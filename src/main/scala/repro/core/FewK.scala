@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Per-quantile few-k configuration (paper §4.2).
   *
   * For window size `N`, period `P` and quantile φ, the per-sub-window space
@@ -107,19 +105,22 @@ object FewK {
   def depthFromTop(nWindow: Long, phi: Double): Long =
     nWindow - Stat.rankOf(phi, nWindow) + 1
 
-  /** Top-k merging (§4.2): concatenate every sub-window's k_t largest values,
-    * and read the t-th largest of the merged bag. If fewer than t values were
-    * cached (fraction too small / bursty sub-window), answer the smallest
-    * cached value — this is exactly where accuracy degrades in Table 3.
+  /** Top-k merging (§4.2): read the t-th largest value of the union of every
+    * sub-window's k_t largest values. If fewer than t values were cached
+    * (fraction too small / bursty sub-window), answer the smallest cached
+    * value — this is exactly where accuracy degrades in Table 3.
+    *
+    * Each cache must be non-increasing under `java.lang.Double.compare` (as
+    * [[SubWindowSummary]] enforces), so the union is read by k-way selection
+    * over the caches, stopping at depth t: O(t log n) for n caches.
     */
   def mergeTopK(caches: Iterable[Array[Double]], t: Long): Double = {
-    val merged = new ArrayBuffer[Double]()
-    caches.foreach(merged ++= _)
-    require(merged.nonEmpty, "top-k merge with no cached values")
-    val sorted = merged.toArray
-    java.util.Arrays.sort(sorted)
-    val idx = sorted.length - math.min(t, sorted.length.toLong).toInt
-    sorted(idx)
+    require(t >= 1, s"depth must be >= 1, got $t")
+    val merge = new DescendingMerge(caches.toArray)
+    require(merge.hasNext, "top-k merge with no cached values")
+    var depth = 0L
+    while (depth < t && merge.hasNext) { merge.next(); depth += 1 }
+    merge.value
   }
 
   /** Sample-k merging (§4.2): each sub-window contributes interval samples of
@@ -128,21 +129,35 @@ object FewK {
     * integer step would under-cover the pool and drop its deepest values).
     * The answer walks the merged samples in descending order accumulating
     * weight until the target depth t is covered (the paper's "refer to the
-    * αN(1-φ)-th largest value to factor in data reduction by sampling").
+    * αN(1-φ)-th largest value to factor in data reduction by sampling"); if
+    * the samples run out first, it answers the smallest one.
+    *
+    * Each sample array must be non-increasing under `java.lang.Double.compare`.
+    * Equal values are walked in sub-window order, so the weights are summed
+    * in the order of a stable descending sort of all samples, and the walk
+    * stops at cumulative weight t: O(t/w log n) rather than a sort of them all.
+    * A NaN is greater than every number under that order, so it is walked first.
     */
   def mergeSampleK(samples: Iterable[(Array[Double], Double)], t: Long): Double = {
-    val weighted = new ArrayBuffer[(Double, Double)]()
-    samples.foreach { case (vs, w) => vs.foreach(v => weighted += ((v, w))) }
-    require(weighted.nonEmpty, "sample-k merge with no samples")
-    val sorted = weighted.toArray.sortBy(-_._1)
+    val weights = samples.iterator.map(_._2).toArray
+    val merge = new DescendingMerge(samples.iterator.map(_._1).toArray)
+    require(merge.hasNext, "sample-k merge with no samples")
     var cum = 0.0
-    var i = 0
-    while (i < sorted.length) {
-      cum += sorted(i)._2
-      if (cum >= t - 1e-9) return sorted(i)._1
-      i += 1
+    while (merge.hasNext) {
+      merge.next()
+      cum += weights(merge.from)
+      if (cum >= t - 1e-9) return merge.value
     }
-    sorted(sorted.length - 1)._1
+    merge.value
+  }
+
+  /** True when `a` is non-increasing under `java.lang.Double.compare` — the
+    * order every few-k cache must have.
+    */
+  def isDescending(a: Array[Double]): Boolean = {
+    var i = 1
+    while (i < a.length && java.lang.Double.compare(a(i - 1), a(i)) >= 0) i += 1
+    i >= a.length
   }
 
   /** The rank weight each of a sub-window's samples stands for. */
@@ -154,9 +169,60 @@ object FewK {
     */
   def intervalSample(poolDescending: Array[Double], step: Int): Array[Double] = {
     require(step >= 1, s"step must be >= 1, got $step")
-    val out = new ArrayBuffer[Double](poolDescending.length / step + 1)
-    var r = step - 1
-    while (r < poolDescending.length) { out += poolDescending(r); r += step }
-    out.toArray
+    val out = new Array[Double](poolDescending.length / step)
+    var k = 0
+    while (k < out.length) { out(k) = poolDescending((k + 1) * step - 1); k += 1 }
+    out
+  }
+}
+
+/** k-way selection over arrays that are each non-increasing under
+  * `java.lang.Double.compare`: `next()` yields their values in the order of a
+  * stable descending sort of the arrays' concatenation (larger value first,
+  * equal values by array index, then by position). A binary heap of array
+  * indices keyed by each array's current head makes each step O(log n).
+  */
+private[core] final class DescendingMerge(arrays: Array[Array[Double]]) {
+  private val pos = new Array[Int](arrays.length)
+  private val heap = arrays.indices.filter(arrays(_).nonEmpty).toArray
+  private var size = heap.length
+
+  /** The value of the last `next()`, and the index of the array it came from. */
+  var value: Double = Double.NaN
+  var from: Int = -1
+
+  { var k = size / 2 - 1; while (k >= 0) { siftDown(k); k -= 1 } }
+
+  def hasNext: Boolean = size > 0
+
+  def next(): Unit = {
+    val j = heap(0)
+    value = arrays(j)(pos(j))
+    from = j
+    pos(j) += 1
+    if (pos(j) == arrays(j).length) { size -= 1; heap(0) = heap(size) }
+    siftDown(0)
+  }
+
+  // Does the head of array a come before the head of array b?
+  private def before(a: Int, b: Int): Boolean = {
+    val c = java.lang.Double.compare(arrays(a)(pos(a)), arrays(b)(pos(b)))
+    c > 0 || (c == 0 && a < b)
+  }
+
+  private def siftDown(start: Int): Unit = {
+    var k = start
+    var done = false
+    while (!done) {
+      val l = 2 * k + 1
+      if (l >= size) done = true
+      else {
+        val c = if (l + 1 < size && before(heap(l + 1), heap(l))) l + 1 else l
+        if (before(heap(c), heap(k))) {
+          val tmp = heap(k); heap(k) = heap(c); heap(c) = tmp
+          k = c
+        } else done = true
+      }
+    }
   }
 }

@@ -85,14 +85,16 @@ final class FreqSketch extends Serializable {
     * expanded up to their frequency. Used to build few-k pools.
     */
   def topValues(m: Int): Array[Double] = {
-    val out = new ArrayBuffer[Double](math.min(m, 16))
+    val out = new Array[Double](math.max(0L, math.min(m.toLong, total)).toInt)
+    var k = 0
     val it = tree.descendingMap().entrySet().iterator()
-    while (it.hasNext && out.length < m) {
+    while (k < out.length) {
       val e = it.next()
+      val v: Double = e.getKey
       var f = e.getValue
-      while (f > 0 && out.length < m) { out += e.getKey; f -= 1 }
+      while (f > 0 && k < out.length) { out(k) = v; k += 1; f -= 1 }
     }
-    out.toArray
+    out
   }
 
   /** All (value, count) pairs in ascending value order. */

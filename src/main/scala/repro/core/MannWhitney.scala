@@ -11,31 +11,40 @@ package repro.core
 object MannWhitney {
 
   /** p-value of the one-sided alternative "x is stochastically larger than y".
-    * Returns 1.0 when either sample is too small to test (< 3 points).
+    * Returns 1.0 when either sample is too small to test (< 3 points). The
+    * samples may come in any order; sorted primitive copies are ranked in
+    * one linear pass.
     */
   def pValueGreater(x: Array[Double], y: Array[Double]): Double = {
     val nx = x.length.toLong
     val ny = y.length.toLong
     if (nx < 3 || ny < 3) return 1.0
-    val all = new Array[(Double, Int)]((nx + ny).toInt)
-    var i = 0
-    while (i < nx) { all(i) = (x(i), 0); i += 1 }
-    var j = 0
-    while (j < ny) { all(i + j) = (y(j), 1); j += 1 }
-    val sorted = all.sortBy(_._1)
-    // midranks + tie counts
+    val xs = x.clone()
+    val ys = y.clone()
+    java.util.Arrays.sort(xs)
+    java.util.Arrays.sort(ys)
+    // midranks + tie counts in one pass over both sorted samples, in the order
+    // of a stable sort of x ++ y: a tie group is the next value (x first on a
+    // tie) and every following value `==` to it
     var rankSumX = 0.0
     var tieCorrection = 0.0
-    var k = 0
-    while (k < sorted.length) {
-      var e = k
-      while (e + 1 < sorted.length && sorted(e + 1)._1 == sorted(k)._1) e += 1
+    var i = 0
+    var j = 0
+    while (i < xs.length || j < ys.length) {
+      val k = i + j
+      var cx = 0
+      val v =
+        if (j == ys.length || (i < xs.length && java.lang.Double.compare(xs(i), ys(j)) <= 0)) {
+          cx = 1; i += 1; xs(i - 1)
+        } else { j += 1; ys(j - 1) }
+      while (i < xs.length && xs(i) == v) { cx += 1; i += 1 }
+      while (j < ys.length && ys(j) == v) j += 1
+      val e = i + j - 1
       val t = (e - k + 1).toDouble
       val midrank = (k + 1 + e + 1) / 2.0
-      var m = k
-      while (m <= e) { if (sorted(m)._2 == 0) rankSumX += midrank; m += 1 }
+      var m = 0
+      while (m < cx) { rankSumX += midrank; m += 1 }
       tieCorrection += t * t * t - t
-      k = e + 1
     }
     val u = rankSumX - nx * (nx + 1) / 2.0
     val n = (nx + ny).toDouble

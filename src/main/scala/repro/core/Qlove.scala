@@ -44,9 +44,8 @@ final class Qlove(
   }
 
   private def sealSubWindow(): Unit = {
-    val s = SubWindowSummary.fromSketch(inflight, cfg, prevPools)
-    if (cfg.phis.indices.exists(cfg.sampleEnabled))
-      prevPools = SubWindowSummary.pools(inflight, cfg)
+    val (s, pools) = SubWindowSummary.seal(inflight, cfg, prevPools)
+    prevPools = pools
     treePeak = inflight.observedSpace
     inflight.clear()
     summaries.append(s)
@@ -64,23 +63,8 @@ final class Qlove(
 
   override def evaluate(): Array[Double] = {
     require(windowFull, "evaluate before a full window was observed")
-    val out = new Array[Double](phis.length)
-    var i = 0
-    while (i < phis.length) {
-      val burstyWindow = cfg.sampleEnabled(i) && summaries.exists(_.bursty(i))
-      val t = FewK.depthFromTop(windowSize, phis(i))
-      out(i) =
-        if (burstyWindow)
-          FewK.mergeSampleK(summaries.iterator.map(s => (s.samples(i),
-            FewK.sampleWeight(math.min(cfg.poolSize(i).toLong, s.count).toInt,
-              s.samples(i).length))).toSeq, t)
-        else if (cfg.topEnabled(i))
-          FewK.mergeTopK(summaries.iterator.map(_.topK(i)).toSeq, t)
-        else
-          sums(i) / nSub
-      i += 1
-    }
-    out
+    Array.tabulate(phis.length)(i =>
+      QloveEstimator.estimateAt(summaries, cfg, windowSize, i, sums(i) / nSub))
   }
 
   /** Stored few-k scalars for quantile index `i` across the current window

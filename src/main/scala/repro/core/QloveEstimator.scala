@@ -29,31 +29,32 @@ object QloveEstimator {
     * sample-k when the window holds a bursty sub-window, top-k for
     * statistically inefficient quantiles, Level-2 mean otherwise.
     */
-  def estimate(summaries: IndexedSeq[SubWindowSummary], cfg: FewKConfig,
+  def estimate(summaries: scala.collection.IndexedSeq[SubWindowSummary], cfg: FewKConfig,
                windowSize: Long): Array[Double] = {
-    val phis = cfg.phis
     val n = summaries.length
     require(n > 0, "estimate over no summaries")
-    val out = new Array[Double](phis.length)
-    var i = 0
-    while (i < phis.length) {
-      val burstyWindow = cfg.sampleEnabled(i) && summaries.exists(_.bursty(i))
-      val t = FewK.depthFromTop(windowSize, phis(i))
-      out(i) =
-        if (burstyWindow)
-          FewK.mergeSampleK(summaries.map(s => (s.samples(i),
-            FewK.sampleWeight(math.min(cfg.poolSize(i).toLong, s.count).toInt,
-              s.samples(i).length))), t)
-        else if (cfg.topEnabled(i))
-          FewK.mergeTopK(summaries.map(_.topK(i)), t)
-        else {
-          var s = 0.0
-          var j = 0
-          while (j < n) { s += summaries(j).quantiles(i); j += 1 }
-          s / n
-        }
-      i += 1
+    Array.tabulate(cfg.phis.length) { i =>
+      estimateAt(summaries, cfg, windowSize, i, {
+        var s = 0.0
+        var j = 0
+        while (j < n) { s += summaries(j).quantiles(i); j += 1 }
+        s / n
+      })
     }
-    out
+  }
+
+  /** The §4.3 selection for quantile index `i`; `level2Mean` is evaluated
+    * only when neither few-k branch applies, so the driver can pass its
+    * running-sum mean.
+    */
+  def estimateAt(summaries: scala.collection.IndexedSeq[SubWindowSummary], cfg: FewKConfig,
+                 windowSize: Long, i: Int, level2Mean: => Double): Double = {
+    val t = FewK.depthFromTop(windowSize, cfg.phis(i))
+    if (cfg.sampleEnabled(i) && summaries.exists(_.bursty(i)))
+      FewK.mergeSampleK(summaries.map(s => (s.samples(i),
+        FewK.sampleWeight(math.min(cfg.poolSize(i).toLong, s.count).toInt,
+          s.samples(i).length))), t)
+    else if (cfg.topEnabled(i)) FewK.mergeTopK(summaries.map(_.topK(i)), t)
+    else level2Mean
   }
 }

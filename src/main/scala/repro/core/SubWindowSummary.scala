@@ -7,6 +7,9 @@ package repro.core
   * values (descending) and the interval samples of the exact-guarantee pool
   * (descending, each standing for `sampleStep` ranked values). `bursty(i)` is
   * the Mann–Whitney verdict of this sub-window's tail against its predecessor.
+  *
+  * Every cache must be non-increasing under `java.lang.Double.compare`, the
+  * order the few-k merges rely on; it is checked here, once per seal.
   */
 final case class SubWindowSummary(
     count: Long,
@@ -15,6 +18,9 @@ final case class SubWindowSummary(
     samples: Array[Array[Double]],
     bursty: Array[Boolean],
 ) {
+  require(topK.forall(FewK.isDescending) && samples.forall(FewK.isDescending),
+    "few-k caches must be non-increasing under java.lang.Double.compare")
+
   /** Stored scalars ("number of variables") attributable to this summary. */
   def observedSpace: Long =
     quantiles.length.toLong +
@@ -29,12 +35,20 @@ object SubWindowSummary {
     * empty arrays for the first sub-window.
     */
   def fromSketch(sketch: FreqSketch, cfg: FewKConfig,
-                 prevPools: Array[Array[Double]]): SubWindowSummary = {
+                 prevPools: Array[Array[Double]]): SubWindowSummary =
+    seal(sketch, cfg, prevPools)._1
+
+  /** [[fromSketch]] plus this sub-window's [[pools]] for the next seal's burst
+    * test, read from the pools the summary was built from.
+    */
+  def seal(sketch: FreqSketch, cfg: FewKConfig,
+           prevPools: Array[Array[Double]]): (SubWindowSummary, Array[Array[Double]]) = {
     val phis = cfg.phis
     val qs = sketch.computeResult(phis)
     val topK = new Array[Array[Double]](phis.length)
     val samples = new Array[Array[Double]](phis.length)
     val bursty = new Array[Boolean](phis.length)
+    val nextPools = new Array[Array[Double]](phis.length)
     var i = 0
     while (i < phis.length) {
       val needPool = cfg.topEnabled(i) || cfg.sampleEnabled(i)
@@ -48,9 +62,10 @@ object SubWindowSummary {
         else Array.emptyDoubleArray
       bursty(i) = cfg.sampleEnabled(i) && prevPools(i).nonEmpty &&
         MannWhitney.isStochasticallyLarger(pool, prevPools(i), cfg.burstAlpha)
+      nextPools(i) = if (cfg.sampleEnabled(i)) pool else Array.emptyDoubleArray
       i += 1
     }
-    SubWindowSummary(sketch.count, qs, topK, samples, bursty)
+    (SubWindowSummary(sketch.count, qs, topK, samples, bursty), nextPools)
   }
 
   /** The per-φ tail pools of a sealed sketch (predecessor side of the next
