@@ -18,20 +18,7 @@ object Table1 {
     val n = Tables.defaultEvents
     val events = SynthData.netmonEvents(spark, n)
     val data = events.orderBy("seq").collect().map(_.getDouble(1))
-    val rows = {
-      // same generator, so reuse the harness over the Spark-produced values
-      val policies = Seq(
-        new repro.core.Qlove(Tables.WindowN, Tables.PeriodP, Tables.Phis,
-          FewKConfig.disabled(Tables.Phis)),
-        new repro.baselines.Cmqs(Tables.WindowN, Tables.PeriodP, Tables.Phis, Tables.Epsilon),
-        new repro.baselines.ArasuManku(Tables.WindowN, Tables.PeriodP, Tables.Phis, Tables.Epsilon),
-        new repro.baselines.RandomSampling(Tables.WindowN, Tables.PeriodP, Tables.Phis, Tables.Epsilon),
-        new repro.baselines.MomentSketchPolicy(Tables.WindowN, Tables.PeriodP, Tables.Phis, Tables.MomentK),
-      )
-      repro.harness.SlidingEval.run(data, Tables.WindowN, Tables.PeriodP, Tables.Phis, policies)
-        .map(r => Tables.Table1Row(r.policy, r.rankError, r.valueErrorPct,
-          r.analyticalSpace, r.observedSpace))
-    }
+    val rows = Tables.table1On(data) // same generator as the driver-side harness
     println("== Table 1 (measured) ==")
     println(Tables.renderTable1(rows))
     println("== Table 1 (paper) ==")

@@ -52,34 +52,12 @@ final class ArasuManku(
 
   override def name: String = "AM"
 
-  /** Equi-spaced coreset of the in-flight sub-window. */
-  private def coreset(): Array[Double] = {
-    val out = new Array[Double](capacity)
-    val total = inflight.count
-    val entries = inflight.entries
-    var j = 0
-    var idx = 0
-    var cum = 0L
-    var rank = math.min(total, math.ceil((j + 0.5) * total / capacity.toDouble).toLong)
-    while (j < capacity && idx < entries.length) {
-      cum += entries(idx)._2
-      while (j < capacity && cum >= rank) {
-        out(j) = entries(idx)._1
-        j += 1
-        if (j < capacity)
-          rank = math.min(total, math.ceil((j + 0.5) * total / capacity.toDouble).toLong)
-      }
-      idx += 1
-    }
-    out
-  }
-
   override def insert(v: Double): Unit = {
     inflight.accumulate(v)
     elementsSeen += 1
     if (elementsSeen % period == 0) {
       val subIdx = elementsSeen / period // completed sub-windows
-      sealedBlocks += Block(0, subIdx - 1, subIdx, coreset())
+      sealedBlocks += Block(0, subIdx - 1, subIdx, Cmqs.coreset(inflight, capacity))
       inflightPeak = inflight.observedSpace
       inflight.clear()
       // cascade: whenever two aligned siblings exist, retain their merge too

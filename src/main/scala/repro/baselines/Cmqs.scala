@@ -16,7 +16,7 @@ import scala.collection.mutable.ArrayDeque
   * most half the spacing, so the window answer is deterministically within
   * ε·N/2 ranks.
   *
-  * The in-flight sub-window is held in a frequency tree (Trill-style state)
+  * The in-flight sub-window is held in the Level-1 kernel (Trill-style state)
   * until sealing — that in-flight state plus the coresets is the runtime
   * space the paper's Table 1 reports.
   */
@@ -42,32 +42,10 @@ final class Cmqs(
 
   override def name: String = "CMQS"
 
-  /** Extract the coreset: values at ranks ⌈(j+0.5)·P/c⌉, j = 0..c-1. */
-  private def coreset(): Array[Double] = {
-    val out = new Array[Double](capacity)
-    val total = inflight.count
-    var j = 0
-    var idx = 0
-    var cum = 0L
-    val entries = inflight.entries
-    var rank = math.min(total, math.ceil((j + 0.5) * total / capacity.toDouble).toLong)
-    while (j < capacity && idx < entries.length) {
-      cum += entries(idx)._2
-      while (j < capacity && cum >= rank) {
-        out(j) = entries(idx)._1
-        j += 1
-        if (j < capacity)
-          rank = math.min(total, math.ceil((j + 0.5) * total / capacity.toDouble).toLong)
-      }
-      idx += 1
-    }
-    out
-  }
-
   override def insert(v: Double): Unit = {
     inflight.accumulate(v)
     if (inflight.count == period) {
-      sealed_.append(coreset())
+      sealed_.append(Cmqs.coreset(inflight, capacity))
       if (sealed_.length > nSub) sealed_.removeHead()
       inflightPeak = inflight.observedSpace
       inflight.clear()
@@ -99,4 +77,16 @@ final class Cmqs(
 
   /** n active coresets of ⌊εP/2⌋ entries plus the in-flight sub-window. */
   override def analyticalSpace: Long = capacity.toLong * nSub + period
+}
+
+object Cmqs {
+
+  /** The equi-spaced coreset of a sealed sub-window: the values at ranks
+    * ⌈(j+0.5)·P/c⌉, j = 0..c-1. AM's level-0 blocks use it too.
+    */
+  def coreset(sketch: FreqSketch, capacity: Int): Array[Double] = {
+    val total = sketch.count
+    sketch.atRanks(Array.tabulate(capacity)(j =>
+      math.min(total, math.ceil((j + 0.5) * total / capacity.toDouble).toLong)))
+  }
 }

@@ -39,7 +39,7 @@ final class Qlove(
   override def name: String = "QLOVE"
 
   override def insert(v: Double): Unit = {
-    inflight.accumulate(if (quantizeDigits > 0) Quantizer.quantize(v, quantizeDigits) else v)
+    inflight.accumulateQuantized(v, quantizeDigits)
     if (inflight.count == period) sealSubWindow()
   }
 

@@ -34,8 +34,11 @@ object Tables {
   /** Accuracy and space of the five approximation policies on NetMon
     * (window 128K, period 16K, ε = 0.02, Moment K = 12).
     */
-  def table1(nEvents: Long = defaultEvents, seed: Long = 7L): Seq[Table1Row] = {
-    val data = Telemetry.netmon(nEvents, seed).toArray
+  def table1(nEvents: Long = defaultEvents, seed: Long = 7L): Seq[Table1Row] =
+    table1On(Telemetry.netmon(nEvents, seed).toArray)
+
+  /** Table 1 over a given event stream. */
+  def table1On(data: Array[Double]): Seq[Table1Row] = {
     val policies = Seq(
       new Qlove(WindowN, PeriodP, Phis, FewKConfig.disabled(Phis)),
       new Cmqs(WindowN, PeriodP, Phis, Epsilon),

@@ -9,7 +9,7 @@ import scala.collection.mutable
 final case class TelemetryEvent(seq: Long, value: Double)
 
 /** Serializable per-group state of the streaming operator: the QLOVE
-  * operator itself (Level-1 tree + Level-2 summary deque) plus a reorder
+  * operator itself (Level-1 kernel + Level-2 summary deque) plus a reorder
   * buffer so events are applied in `seq` order regardless of intra-batch
   * shuffle order.
   */
@@ -38,9 +38,10 @@ object QloveStreaming {
              windowSize: Long, period: Long, cfg: FewKConfig,
              quantizeDigits: Int = 3): Dataset[EvalEstimate] = {
     import spark.implicits._
-    // Java serialization: the state graph (Qlove -> java TreeMap / scala
-    // ArrayDeque / mutable.TreeMap) is Serializable end-to-end, which Kryo's
-    // field serializers are not able to reconstruct for scala.mutable.TreeMap.
+    // Java serialization: the state graph (Qlove -> FreqSketch's compact form
+    // / scala ArrayDeque / mutable.TreeMap) is Serializable end-to-end, which
+    // Kryo's field serializers are not able to reconstruct for
+    // scala.mutable.TreeMap.
     implicit val stateEnc = Encoders.javaSerialization[StreamQloveState]
     events
       .groupByKey(_ => 0)

@@ -2,8 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.{Encoder, Encoders}
 import org.apache.spark.sql.expressions.Aggregator
-import repro.core.{Quantizer, Stat}
-import scala.collection.mutable
+import repro.core.FreqSketch
 
 /** Row-level output of Level-1 aggregation: the sub-window's element count,
   * its exact per-φ quantiles, and (per φ) the descending pool of its largest
@@ -18,74 +17,34 @@ final case class SummaryRow(
 /** Spark custom aggregate implementing QLOVE's Level-1 sub-window summary
   * (paper Algorithm 1) as an `Aggregator`, registered via
   * `functions.udaf` / `spark.udf.register` — the *extension point* for the
-  * paper's incremental operator in Catalyst. The buffer is the frequency map
-  * {quantized value -> count}; `merge` is frequency-map union, so Spark's
-  * partial aggregation across partitions is the same compression the paper's
-  * red-black tree performs on the hot path.
+  * paper's incremental operator in Catalyst. The buffer is the driver's
+  * Level-1 kernel, [[FreqSketch]]; `merge` adds its counts and concatenates
+  * its buffers, so Spark's partial aggregation across partitions is the same
+  * compression the paper's red-black tree performs on the hot path.
   */
 final class SubWindowAgg(
     phis: Array[Double],
     poolSizes: Array[Int],
     quantizeDigits: Int,
-) extends Aggregator[Double, mutable.HashMap[Double, Long], SummaryRow] {
+) extends Aggregator[Double, FreqSketch, SummaryRow] {
   require(phis.length == poolSizes.length, "per-φ arrays must align")
 
-  override def zero: mutable.HashMap[Double, Long] = mutable.HashMap.empty
+  override def zero: FreqSketch = new FreqSketch
 
-  override def reduce(b: mutable.HashMap[Double, Long], v: Double): mutable.HashMap[Double, Long] = {
-    val q = if (quantizeDigits > 0) Quantizer.quantize(v, quantizeDigits) else v
-    b.updateWith(q) { case Some(c) => Some(c + 1); case None => Some(1L) }
+  override def reduce(b: FreqSketch, v: Double): FreqSketch = {
+    b.accumulateQuantized(v, quantizeDigits)
     b
   }
 
-  override def merge(a: mutable.HashMap[Double, Long],
-                     b: mutable.HashMap[Double, Long]): mutable.HashMap[Double, Long] = {
-    val (big, small) = if (a.size >= b.size) (a, b) else (b, a)
-    small.foreach { case (v, c) =>
-      big.updateWith(v) { case Some(x) => Some(x + c); case None => Some(c) }
-    }
-    big
+  override def merge(a: FreqSketch, b: FreqSketch): FreqSketch = a.merge(b)
+
+  override def finish(b: FreqSketch): SummaryRow = {
+    require(b.count > 0, "empty sub-window")
+    SummaryRow(b.count, b.computeResult(phis).toSeq, poolSizes.map(m => b.topValues(m).toSeq).toSeq)
   }
 
-  override def finish(b: mutable.HashMap[Double, Long]): SummaryRow = {
-    require(b.nonEmpty, "empty sub-window")
-    val entries = b.toArray.sortBy(_._1)
-    val total = entries.iterator.map(_._2).sum
-    // one in-order pass for all quantiles, as in Algorithm 1
-    val order = phis.zipWithIndex.sortBy(_._1)
-    val qs = new Array[Double](phis.length)
-    var running = 0L
-    var qi = 0
-    var rank = Stat.rankOf(order(qi)._1, total)
-    var i = 0
-    while (i < entries.length && qi < order.length) {
-      running += entries(i)._2
-      while (qi < order.length && running >= rank) {
-        qs(order(qi)._2) = entries(i)._1
-        qi += 1
-        if (qi < order.length) rank = Stat.rankOf(order(qi)._1, total)
-      }
-      i += 1
-    }
-    // descending pools of the largest values (with multiplicity) per φ
-    val pools = poolSizes.map { m =>
-      if (m <= 0) Seq.empty[Double]
-      else {
-        val out = new mutable.ArrayBuffer[Double](math.min(m, 16))
-        var j = entries.length - 1
-        while (j >= 0 && out.length < m) {
-          var f = entries(j)._2
-          while (f > 0 && out.length < m) { out += entries(j)._1; f -= 1 }
-          j -= 1
-        }
-        out.toSeq
-      }
-    }.toSeq
-    SummaryRow(total, qs.toSeq, pools)
-  }
-
-  override def bufferEncoder: Encoder[mutable.HashMap[Double, Long]] =
-    Encoders.kryo[mutable.HashMap[Double, Long]]
+  /** Java serialization writes the kernel's occupied slots only. */
+  override def bufferEncoder: Encoder[FreqSketch] = Encoders.javaSerialization[FreqSketch]
 
   override def outputEncoder: Encoder[SummaryRow] = Encoders.product[SummaryRow]
 }

@@ -54,4 +54,53 @@ class ExactSlidingSpec extends AnyFunSuite {
   test("analyticalSpace is 3N") {
     assert(new ExactSliding(1000, phis).analyticalSpace == 3000)
   }
+
+  // The window's frequency tree, tested directly.
+  private def sketchOf(vs: Seq[Double]): ExactSliding.FreqTree = {
+    val s = new ExactSliding.FreqTree
+    vs.foreach(s.accumulate)
+    s
+  }
+
+  test("deaccumulate removes one occurrence and deletes empty nodes") {
+    val s = sketchOf(Seq(1.0, 2.0, 2.0))
+    s.deaccumulate(2.0)
+    assert(s.count == 2 && s.uniqueCount == 2)
+    s.deaccumulate(2.0)
+    assert(s.count == 1 && s.uniqueCount == 1)
+    intercept[IllegalArgumentException](s.deaccumulate(2.0))
+  }
+
+  test("accumulate/deaccumulate round-trip preserves quantiles") {
+    val rnd = new scala.util.Random(8)
+    val base = Array.fill(200)(rnd.nextInt(30).toDouble)
+    val extra = Array.fill(100)(rnd.nextInt(30).toDouble)
+    val s = sketchOf(base.toSeq)
+    val before = s.computeResult(Array(0.25, 0.5, 0.75))
+    extra.foreach(s.accumulate)
+    extra.foreach(s.deaccumulate)
+    assert(s.computeResult(Array(0.25, 0.5, 0.75)).sameElements(before))
+  }
+
+  test("rankInterval for present and absent values") {
+    val s = sketchOf(Seq(1.0, 2.0, 2.0, 5.0))
+    assert(s.rankInterval(1.0) == (1L, 1L))
+    assert(s.rankInterval(2.0) == (2L, 3L))
+    assert(s.rankInterval(5.0) == (4L, 4L))
+    assert(s.rankInterval(3.0) == (3L, 4L)) // would sit between ranks 3 and 4
+    assert(s.rankInterval(0.5) == (0L, 1L))
+    assert(s.rankInterval(9.0) == (4L, 5L))
+  }
+
+  test("rankInterval sums are consistent with count (property)") {
+    val rnd = new scala.util.Random(9)
+    val vs = Array.fill(300)(rnd.nextInt(40).toDouble)
+    val s = sketchOf(vs.toSeq)
+    vs.distinct.foreach { v =>
+      val (lo, hi) = s.rankInterval(v)
+      val below = vs.count(_ < v)
+      val at = vs.count(_ == v)
+      assert(lo == below + 1 && hi == below + at, s"v=$v")
+    }
+  }
 }
