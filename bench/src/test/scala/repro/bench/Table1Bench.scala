@@ -62,10 +62,10 @@ class Table1Bench extends AnyFunSuite {
   }
 
   test("QLOVE observed space undercuts Random's observed space") {
-    // The paper's QLOVE also undercuts CMQS/AM observed space; our GK-based
-    // CMQS/AM cores compress NetMon's duplicate-dense stream harder than the
-    // authors' implementation did, so that comparison is recorded in
-    // EXPERIMENTS.md rather than asserted here.
+    // The paper's QLOVE also undercuts CMQS/AM observed space; our
+    // coreset-based CMQS/AM cores compress NetMon's duplicate-dense stream
+    // harder than the authors' implementation did, so that comparison is
+    // recorded in EXPERIMENTS.md rather than asserted here.
     assert(row("QLOVE").observedSpace < row("Random").observedSpace)
   }
 

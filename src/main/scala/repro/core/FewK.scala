@@ -24,7 +24,6 @@ final case class FewKConfig(
 
   def topEnabled(i: Int): Boolean = topK(i) > 0
   def sampleEnabled(i: Int): Boolean = sampleStep(i) > 0
-  def anyEnabled: Boolean = phis.indices.exists(i => topEnabled(i) || sampleEnabled(i))
 }
 
 object FewKConfig {
@@ -73,26 +72,6 @@ object FewKConfig {
       }
     }.toArray
     FewKConfig(phis, pools, phis.map(_ => 0), steps)
-  }
-
-  /** Paper's default budget split (§4.2 "Deciding k_t"): per sub-window
-    * `k = fraction × poolSize`; `k_t = P(1-φ)` when the φ is statistically
-    * inefficient (else 0); all the remaining budget goes to `k_s`.
-    */
-  def auto(nWindow: Long, pPeriod: Long, phis: Array[Double],
-           fraction: Double, ts: Double = 10.0): FewKConfig = {
-    val pools = phis.map(pool(nWindow, _))
-    val tops = new Array[Int](phis.length)
-    val steps = new Array[Int](phis.length)
-    phis.indices.foreach { i =>
-      val k = math.max(1, math.ceil(fraction * pools(i)).toInt)
-      val inefficient = pPeriod * (1.0 - phis(i)) < ts
-      val kt = if (inefficient) math.min(k, math.max(1, math.ceil(pPeriod * (1.0 - phis(i))).toInt)) else 0
-      val ks = k - kt
-      tops(i) = kt
-      steps(i) = if (ks > 0) math.max(1, math.round(pools(i).toDouble / ks).toInt) else 0
-    }
-    FewKConfig(phis, pools, tops, steps)
   }
 }
 

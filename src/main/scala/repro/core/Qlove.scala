@@ -44,7 +44,9 @@ final class Qlove(
   }
 
   private def sealSubWindow(): Unit = {
-    val (s, pools) = SubWindowSummary.seal(inflight, cfg, prevPools)
+    val pools = SubWindowSummary.pools(inflight, cfg)
+    val s = SubWindowSummary.seal(inflight.count, inflight.computeResult(phis), pools,
+      prevPools, cfg)
     prevPools = pools
     treePeak = inflight.observedSpace
     inflight.clear()

@@ -7,24 +7,6 @@ package repro.core
   */
 object QloveEstimator {
 
-  /** Rebuild a [[SubWindowSummary]] from a raw descending tail pool per φ
-    * (the form the Spark aggregate emits): top-k cache is the pool prefix,
-    * samples are the interval sample of the pool.
-    */
-  def fromPools(count: Long, quantiles: Array[Double],
-                pools: Array[Array[Double]], bursty: Array[Boolean],
-                cfg: FewKConfig): SubWindowSummary = {
-    val topK = cfg.phis.indices.map { i =>
-      if (cfg.topEnabled(i)) pools(i).take(math.min(cfg.topK(i), pools(i).length))
-      else Array.emptyDoubleArray
-    }.toArray
-    val samples = cfg.phis.indices.map { i =>
-      if (cfg.sampleEnabled(i)) FewK.intervalSample(pools(i), cfg.sampleStep(i))
-      else Array.emptyDoubleArray
-    }.toArray
-    SubWindowSummary(count, quantiles, topK, samples, bursty)
-  }
-
   /** Per-φ estimate for a full window of `summaries` (oldest first):
     * sample-k when the window holds a bursty sub-window, top-k for
     * statistically inefficient quantiles, Level-2 mean otherwise.

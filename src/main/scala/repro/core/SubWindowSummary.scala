@@ -30,30 +30,22 @@ final case class SubWindowSummary(
 
 object SubWindowSummary {
 
-  /** Build the summary of a sealed Level-1 state. `prevPools(i)` is the
-    * predecessor sub-window's tail pool per φ (for burst detection); pass
-    * empty arrays for the first sub-window.
+  /** The one seal: build a sub-window's summary from its `count`, its exact
+    * per-φ `quantiles` and its [[pools]]. The top-k cache is the pool's
+    * prefix, the samples are its interval sample, and the burst flag tests
+    * the pool against the predecessor's `prevPools(i)` (empty for the first
+    * sub-window). The driver, the streaming operator and the Spark batch
+    * pipeline all seal through here.
     */
-  def fromSketch(sketch: FreqSketch, cfg: FewKConfig,
-                 prevPools: Array[Array[Double]]): SubWindowSummary =
-    seal(sketch, cfg, prevPools)._1
-
-  /** [[fromSketch]] plus this sub-window's [[pools]] for the next seal's burst
-    * test, read from the pools the summary was built from.
-    */
-  def seal(sketch: FreqSketch, cfg: FewKConfig,
-           prevPools: Array[Array[Double]]): (SubWindowSummary, Array[Array[Double]]) = {
-    val phis = cfg.phis
-    val qs = sketch.computeResult(phis)
-    val topK = new Array[Array[Double]](phis.length)
-    val samples = new Array[Array[Double]](phis.length)
-    val bursty = new Array[Boolean](phis.length)
-    val nextPools = new Array[Array[Double]](phis.length)
+  def seal(count: Long, quantiles: Array[Double], pools: Array[Array[Double]],
+           prevPools: Array[Array[Double]], cfg: FewKConfig): SubWindowSummary = {
+    val l = cfg.phis.length
+    val topK = new Array[Array[Double]](l)
+    val samples = new Array[Array[Double]](l)
+    val bursty = new Array[Boolean](l)
     var i = 0
-    while (i < phis.length) {
-      val needPool = cfg.topEnabled(i) || cfg.sampleEnabled(i)
-      val pool: Array[Double] =
-        if (needPool) sketch.topValues(cfg.poolSize(i)) else Array.emptyDoubleArray
+    while (i < l) {
+      val pool = pools(i)
       topK(i) =
         if (cfg.topEnabled(i)) pool.take(math.min(cfg.topK(i), pool.length))
         else Array.emptyDoubleArray
@@ -62,18 +54,26 @@ object SubWindowSummary {
         else Array.emptyDoubleArray
       bursty(i) = cfg.sampleEnabled(i) && prevPools(i).nonEmpty &&
         MannWhitney.isStochasticallyLarger(pool, prevPools(i), cfg.burstAlpha)
-      nextPools(i) = if (cfg.sampleEnabled(i)) pool else Array.emptyDoubleArray
       i += 1
     }
-    (SubWindowSummary(sketch.count, qs, topK, samples, bursty), nextPools)
+    SubWindowSummary(count, quantiles, topK, samples, bursty)
   }
 
-  /** The per-φ tail pools of a sealed sketch (predecessor side of the next
-    * sub-window's burst test).
+  /** [[seal]] of a sealed Level-1 state; `prevPools` is the predecessor's
+    * [[pools]] (empty arrays for the first sub-window).
+    */
+  def fromSketch(sketch: FreqSketch, cfg: FewKConfig,
+                 prevPools: Array[Array[Double]]): SubWindowSummary =
+    seal(sketch.count, sketch.computeResult(cfg.phis), pools(sketch, cfg), prevPools, cfg)
+
+  /** The per-φ tail pools of a sealed sketch: its `poolSize(i)` largest
+    * values, descending, for every φ with top-k or sample-k on (empty
+    * otherwise). They feed this sub-window's caches and the next one's
+    * burst test.
     */
   def pools(sketch: FreqSketch, cfg: FewKConfig): Array[Array[Double]] =
-    cfg.phis.indices.map { i =>
-      if (cfg.sampleEnabled(i)) sketch.topValues(cfg.poolSize(i))
+    Array.tabulate(cfg.phis.length) { i =>
+      if (cfg.topEnabled(i) || cfg.sampleEnabled(i)) sketch.topValues(cfg.poolSize(i))
       else Array.emptyDoubleArray
-    }.toArray
+    }
 }

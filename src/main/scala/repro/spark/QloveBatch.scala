@@ -3,16 +3,7 @@ package repro.spark
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.core.{FewKConfig, MannWhitney, QloveEstimator, SubWindowSummary}
-
-/** One sealed sub-window as carried through the distributed pipeline. */
-final case class SubSummary(
-    sub: Long,
-    count: Long,
-    quantiles: Seq[Double],
-    pools: Seq[Seq[Double]],
-    bursty: Seq[Boolean],
-)
+import repro.core.{FewKConfig, QloveEstimator, SubWindowSummary}
 
 /** One window evaluation: `eval` is the absolute index of the window's most
   * recent sub-window (the harness's k-th evaluation is `eval = n - 1 + k`).
@@ -22,18 +13,16 @@ final case class EvalEstimate(eval: Long, estimates: Seq[Double])
 /** QLOVE's hierarchical windowing as a two-stage distributed dataflow:
   *
   *   Stage 1 (Level 1) — `groupBy(seq div P)` + the [[SubWindowAgg]] custom
-  *   aggregate produces each sub-window's summary (exact quantiles + few-k
-  *   pools) with partial aggregation across partitions.
+  *   aggregate produces each sub-window's count, exact quantiles and few-k
+  *   pools with partial aggregation across partitions.
   *
-  *   Stage 2 (Level 2) — each summary is fanned out to the n window
-  *   evaluations it participates in (explode over evaluation ids), and a
+  *   Stage 2 (Level 2) — a lag window over sub-window order pairs each
+  *   sub-window's pools with its predecessor's, and [[SubWindowSummary.seal]]
+  *   builds its summary once, exactly as the driver does. Each summary is
+  *   fanned out to the n window evaluations it participates in, and a
   *   per-evaluation group merge applies the shared [[QloveEstimator]] —
   *   Level-2 mean / top-k / sample-k selection identical to the driver
   *   operator.
-  *
-  * Burst flags are attached between the stages with a lag window over
-  * sub-window order (each sub-window's tail pool Mann–Whitney-tested against
-  * its predecessor's), mirroring the sequential detector.
   */
 object QloveBatch {
 
@@ -42,9 +31,7 @@ object QloveBatch {
     */
   def subWindowSummaries(events: DataFrame, period: Long, cfg: FewKConfig,
                          quantizeDigits: Int = 3): DataFrame = {
-    val agg = udaf(new SubWindowAgg(cfg.phis, cfg.poolSize.indices.map { i =>
-      if (cfg.topEnabled(i) || cfg.sampleEnabled(i)) cfg.poolSize(i) else 0
-    }.toArray, quantizeDigits))
+    val agg = udaf(new SubWindowAgg(cfg, quantizeDigits))
     events
       .select(floor(col("seq") / period.toDouble).cast("long").as("sub"), col("value"))
       .groupBy("sub")
@@ -52,47 +39,32 @@ object QloveBatch {
       .where(col("summary.count") === period)
   }
 
-  /** Stage 1.5 + 2: burst flags via lag, fan-out to evaluations, group merge.
-    * Returns one row per complete window evaluation, ordered by `eval`.
+  /** Stage 2: seal, fan out to evaluations, group merge. Returns one row per
+    * complete window evaluation, ordered by `eval`.
     */
   def estimates(spark: SparkSession, events: DataFrame, windowSize: Long,
                 period: Long, cfg: FewKConfig, quantizeDigits: Int = 3): Dataset[EvalEstimate] = {
     import spark.implicits._
     require(windowSize % period == 0, "window must be a multiple of period")
     val nSub = (windowSize / period).toInt
-    val summaries = subWindowSummaries(events, period, cfg, quantizeDigits)
-    val withPrev = summaries
+    val noPools = cfg.phis.map(_ => Array.emptyDoubleArray)
+    subWindowSummaries(events, period, cfg, quantizeDigits)
       .withColumn("prevPools",
         lag(col("summary.pools"), 1).over(Window.orderBy(col("sub"))))
-      .select(col("sub"), col("summary.count").as("count"),
-        col("summary.quantiles").as("quantiles"), col("summary.pools").as("pools"),
-        col("prevPools"))
-      .as[(Long, Long, Seq[Double], Seq[Seq[Double]], Option[Seq[Seq[Double]]])]
-    val flagged: Dataset[SubSummary] = withPrev.map { case (sub, count, qs, pools, prev) =>
-      val bursty = cfg.phis.indices.map { i =>
-        cfg.sampleEnabled(i) && prev.exists(p =>
-          p(i).nonEmpty && MannWhitney.isStochasticallyLarger(
-            pools(i).toArray, p(i).toArray, cfg.burstAlpha))
+      .select(col("sub"), col("summary.count"), col("summary.quantiles"),
+        col("summary.pools"), col("prevPools"))
+      .as[(Long, Long, Array[Double], Array[Array[Double]], Option[Array[Array[Double]]])]
+      .flatMap { case (sub, count, qs, pools, prev) =>
+        val s = SubWindowSummary.seal(count, qs, pools, prev.getOrElse(noPools), cfg)
+        (sub until sub + nSub).map(e => (e, sub, s))
       }
-      SubSummary(sub, count, qs, pools, bursty)
-    }
-    val maxSub = summaries.agg(max(col("sub"))).as[Long].head()
-    val fanned = flagged.flatMap { s =>
-      (s.sub until math.min(s.sub + nSub, maxSub + 1)).map(e => (e, s))
-    }
-    fanned
       .groupByKey(_._1)
       .flatMapGroups { (eval, it) =>
-        val subs = it.map(_._2).toArray.sortBy(_.sub)
+        // an evaluation past the last sub-window has fewer than n summaries
+        val subs = it.toArray.sortBy(_._2)
         if (subs.length < nSub) Iterator.empty
-        else {
-          val summaries = subs.map { s =>
-            QloveEstimator.fromPools(s.count, s.quantiles.toArray,
-              s.pools.map(_.toArray).toArray, s.bursty.toArray, cfg)
-          }.toIndexedSeq
-          Iterator.single(EvalEstimate(eval,
-            QloveEstimator.estimate(summaries, cfg, windowSize).toSeq))
-        }
+        else Iterator.single(EvalEstimate(eval,
+          QloveEstimator.estimate(subs.map(_._3).toIndexedSeq, cfg, windowSize).toSeq))
       }
       .orderBy("eval")
   }

@@ -2,11 +2,10 @@ package repro.spark
 
 import org.apache.spark.sql.{Encoder, Encoders}
 import org.apache.spark.sql.expressions.Aggregator
-import repro.core.FreqSketch
+import repro.core.{FewKConfig, FreqSketch, SubWindowSummary}
 
 /** Row-level output of Level-1 aggregation: the sub-window's element count,
-  * its exact per-φ quantiles, and (per φ) the descending pool of its largest
-  * values needed by few-k merging (empty when few-k is off for that φ).
+  * its exact per-φ quantiles, and its per-φ [[SubWindowSummary.pools]].
   */
 final case class SummaryRow(
     count: Long,
@@ -23,12 +22,9 @@ final case class SummaryRow(
   * compression the paper's red-black tree performs on the hot path.
   */
 final class SubWindowAgg(
-    phis: Array[Double],
-    poolSizes: Array[Int],
+    cfg: FewKConfig,
     quantizeDigits: Int,
 ) extends Aggregator[Double, FreqSketch, SummaryRow] {
-  require(phis.length == poolSizes.length, "per-φ arrays must align")
-
   override def zero: FreqSketch = new FreqSketch
 
   override def reduce(b: FreqSketch, v: Double): FreqSketch = {
@@ -40,7 +36,8 @@ final class SubWindowAgg(
 
   override def finish(b: FreqSketch): SummaryRow = {
     require(b.count > 0, "empty sub-window")
-    SummaryRow(b.count, b.computeResult(phis).toSeq, poolSizes.map(m => b.topValues(m).toSeq).toSeq)
+    SummaryRow(b.count, b.computeResult(cfg.phis).toSeq,
+      SubWindowSummary.pools(b, cfg).map(_.toSeq).toSeq)
   }
 
   /** Java serialization writes the kernel's occupied slots only. */

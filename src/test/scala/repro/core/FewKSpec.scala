@@ -76,7 +76,6 @@ class FewKSpec extends AnyFunSuite {
 
   test("disabled config has nothing enabled") {
     val cfg = FewKConfig.disabled(phis)
-    assert(!cfg.anyEnabled)
     phis.indices.foreach { i =>
       assert(!cfg.topEnabled(i) && !cfg.sampleEnabled(i))
     }
@@ -94,7 +93,7 @@ class FewKSpec extends AnyFunSuite {
 
   test("topOnly with larger period disables everything") {
     val cfg = FewKConfig.topOnly(131072, 65536, phis, 0.5)
-    assert(!cfg.anyEnabled)
+    phis.indices.foreach(i => assert(!cfg.topEnabled(i) && !cfg.sampleEnabled(i)))
   }
 
   test("sampleOnly sets a step inversely proportional to the fraction") {
@@ -105,20 +104,10 @@ class FewKSpec extends AnyFunSuite {
     assert(cfg.sampleStep(3) == 9) // pool 132, ks 14 -> step round(132/14) = 9
     val cfgHalf = FewKConfig.sampleOnly(131072, phis, 0.5)
     assert(cfgHalf.sampleStep(3) == 2)
-    assert(!FewKConfig.sampleOnly(131072, phis, 0.0).anyEnabled)
+    val cfgOff = FewKConfig.sampleOnly(131072, phis, 0.0)
+    phis.indices.foreach(i => assert(!cfgOff.topEnabled(i) && !cfgOff.sampleEnabled(i)))
     // lowering minPhi widens the sampled set
     assert(FewKConfig.sampleOnly(131072, phis, 0.1, minPhi = 0.5).sampleEnabled(0))
-  }
-
-  test("auto split gives k_t = P(1-phi) to inefficient quantiles, rest to k_s") {
-    val cfg = FewKConfig.auto(131072, 4096, phis, 0.5)
-    val i999 = 3
-    // P(1-0.999) = 4.096 < 10 -> top-k on with k_t = ceil(4.096) = 5
-    assert(cfg.topK(i999) == 5)
-    assert(cfg.sampleEnabled(i999)) // remaining budget 66 - 5 = 61 samples
-    val i5 = 0 // P(1-0.5) huge -> no top-k, all budget to samples
-    assert(cfg.topK(i5) == 0)
-    assert(cfg.sampleEnabled(i5))
   }
 
   test("config construction validates array alignment") {

@@ -24,12 +24,8 @@ class QloveEstimatorSpec extends AnyFunSuite {
     val cfg = FewKConfig.sampleOnly(n, phis, 0.5)
     val data = Array.fill(n.toInt)(rnd.nextDouble() * 1000)
     val direct = driverSummaries(data, n, p, cfg)
-    val rebuilt = direct.map { s =>
-      // recover pools: samples with step s reconstruct only if step == 1, so
-      // build pools directly from the data for this check
-      s
-    }
-    // compare estimate paths instead: fromPools over explicit pools
+    // the seal over explicit pools, one for every phi (the seal ignores the
+    // pools of phis with few-k off), with the burst flags recomputed here
     var prevPools: Array[Array[Double]] = phis.map(_ => Array.emptyDoubleArray)
     val viaPools = data.grouped(p.toInt).map { chunk =>
       val sk = new FreqSketch
@@ -38,8 +34,10 @@ class QloveEstimatorSpec extends AnyFunSuite {
       val bursty = phis.indices.map(i =>
         cfg.sampleEnabled(i) && prevPools(i).nonEmpty &&
           MannWhitney.isStochasticallyLarger(pools(i), prevPools(i), cfg.burstAlpha)).toArray
+      val s = SubWindowSummary.seal(chunk.length, sk.computeResult(phis), pools, prevPools, cfg)
+      assert(s.bursty.sameElements(bursty))
       prevPools = pools
-      QloveEstimator.fromPools(chunk.length, sk.computeResult(phis), pools, bursty, cfg)
+      s
     }.toIndexedSeq
     direct.zip(viaPools).foreach { case (a, b) =>
       assert(a.count == b.count)
@@ -119,11 +117,12 @@ class QloveEstimatorSpec extends AnyFunSuite {
   test("an ascending few-k cache is rejected where summaries are built") {
     val ph = Array(0.99)
     val cfg = FewKConfig(ph, Array(4), Array(4), Array(1))
+    val first = Array(Array.emptyDoubleArray) // no predecessor
     intercept[IllegalArgumentException](
-      QloveEstimator.fromPools(4, Array(3.0), Array(Array(1.0, 2.0, 3.0, 4.0)), Array(false), cfg))
+      SubWindowSummary.seal(4, Array(3.0), Array(Array(1.0, 2.0, 3.0, 4.0)), first, cfg))
     intercept[IllegalArgumentException](
       SubWindowSummary(4, Array(3.0), Array(Array(4.0, 3.0)), Array(Array(1.0, 2.0)), Array(false)))
     // non-increasing under Double.compare, ties included, is accepted
-    QloveEstimator.fromPools(4, Array(3.0), Array(Array(4.0, 4.0, 0.0, -0.0)), Array(false), cfg)
+    SubWindowSummary.seal(4, Array(3.0), Array(Array(4.0, 4.0, 0.0, -0.0)), first, cfg)
   }
 }

@@ -1,8 +1,8 @@
 package repro.spark
 
 import org.apache.spark.sql.functions._
-import repro.{SparkSpec, SynthData}
-import repro.core.{FewKConfig, Qlove}
+import repro.SparkSpec
+import repro.core.{FewKConfig, FreqSketch, Qlove, SubWindowSummary}
 import repro.data.Telemetry
 
 class QloveBatchSpec extends SparkSpec {
@@ -58,6 +58,25 @@ class QloveBatchSpec extends SparkSpec {
     val base = Telemetry.netmon(16000).toArray
     val data = Telemetry.injectBurst(base, 2048, 512, 0.99)
     check(data, 2048, 512, FewKConfig.sampleOnly(2048, phis, 0.5), 3)
+  }
+
+  test("batch pipeline equals the driver operator: top-k and sample-k on one phi") {
+    // the tail-burst budget: top-k and sample-k both on for 0.99
+    val (n, p) = (2048L, 512L)
+    val top = FewKConfig.topOnly(n, p, phis, 0.5)
+    val cfg = FewKConfig(phis, top.poolSize, top.topK, FewKConfig.sampleOnly(n, phis, 0.5).sampleStep)
+    assert(cfg.topEnabled(2) && cfg.sampleEnabled(2))
+    val data = Telemetry.injectBurst(Telemetry.netmon(16000).toArray, n, p, 0.99)
+    var prev = cfg.phis.map(_ => Array.emptyDoubleArray)
+    val flagged = data.grouped(p.toInt).filter(_.length == p).count { chunk =>
+      val sk = new FreqSketch
+      chunk.foreach(sk.accumulateQuantized(_, 3))
+      val s = SubWindowSummary.fromSketch(sk, cfg, prev)
+      prev = SubWindowSummary.pools(sk, cfg)
+      s.bursty(2)
+    }
+    assert(flagged > 0, "no sub-window was flagged bursty")
+    check(data, n, p, cfg, 3)
   }
 
   test("batch pipeline equals the driver operator: no quantization") {

@@ -4,7 +4,7 @@ import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, 
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.FreqSketch
+import repro.core.{FewKConfig, FreqSketch}
 import repro.data.Telemetry
 
 /** Spark's partial aggregation of [[SubWindowAgg]], without a SparkSession: a
@@ -15,6 +15,9 @@ import repro.data.Telemetry
 class SubWindowAggMergeSpec extends AnyFunSuite {
   private val phis = Array(0.5, 0.9, 0.99, 0.999)
   private val netmon = Telemetry.netmon(1 << 16, 7).toArray
+  // top-k on with the whole pool cached, pools of 0, 3, 40 and 200 values
+  private val sizes = Array(0, 3, 40, 200)
+  private val pooled = FewKConfig(phis, sizes, sizes, sizes.map(_ => 0))
 
   private val special: Gen[Double] =
     Gen.oneOf(0.0, -0.0, -5.0, Double.NaN, Double.PositiveInfinity, 1e-310, 999.5, 9995.0)
@@ -42,7 +45,7 @@ class SubWindowAggMergeSpec extends AnyFunSuite {
   test("merging random partitions in random order equals one kernel (property)") {
     val prop = Prop.forAllNoShrink(case_) { case (events, digits, parts, seed) =>
       val rnd = new scala.util.Random(seed)
-      val agg = new SubWindowAgg(phis, Array(0, 3, 40, 200), digits)
+      val agg = new SubWindowAgg(pooled, digits)
       val shuffled = rnd.shuffle(events.toSeq)
       val buffers = scala.collection.mutable.ArrayBuffer.fill(parts)(agg.zero)
       shuffled.foreach(v => agg.reduce(buffers(rnd.nextInt(parts)), v))
@@ -65,7 +68,7 @@ class SubWindowAggMergeSpec extends AnyFunSuite {
   }
 
   test("an empty buffer serializes without its spare capacity") {
-    val agg = new SubWindowAgg(phis, Array(0, 0, 0, 0), 3)
+    val agg = new SubWindowAgg(FewKConfig.disabled(phis), 3)
     val b = agg.zero
     netmon.take(16384).foreach(agg.reduce(b, _))
     b.clear()

@@ -12,7 +12,7 @@ class SubWindowAggSpec extends SparkSpec {
   test("UDAF sub-window quantiles match DuckDB quantile_disc (Oracle)") {
     val ev = events(4000)
     // quantizeDigits = 0 so both engines see raw values
-    val agg = udaf(new SubWindowAgg(phis, phis.map(_ => 0), 0))
+    val agg = udaf(new SubWindowAgg(FewKConfig.disabled(phis), 0))
     val got = ev
       .select((col("seq") / 1000).cast("long").as("sub"), col("value"))
       .groupBy("sub")
@@ -32,7 +32,7 @@ class SubWindowAggSpec extends SparkSpec {
 
   test("UDAF counts match DuckDB group counts (Oracle)") {
     val ev = events(3500)
-    val agg = udaf(new SubWindowAgg(phis, phis.map(_ => 0), 0))
+    val agg = udaf(new SubWindowAgg(FewKConfig.disabled(phis), 0))
     val got = ev
       .select((col("seq") / 500).cast("long").as("sub"), col("value"))
       .groupBy("sub")
@@ -47,7 +47,7 @@ class SubWindowAggSpec extends SparkSpec {
     val n = 6000L
     val p = 1500
     val ev = events(n)
-    val agg = udaf(new SubWindowAgg(phis, phis.map(_ => 0), 3))
+    val agg = udaf(new SubWindowAgg(FewKConfig.disabled(phis), 3))
     val rows = ev
       .select((col("seq") / p).cast("long").as("sub"), col("value"))
       .groupBy("sub").agg(agg(col("value")).as("s"))
@@ -65,8 +65,8 @@ class SubWindowAggSpec extends SparkSpec {
 
   test("UDAF pools carry the descending largest values per phi") {
     val ev = events(2000)
-    val cfg = FewKConfig.sampleOnly(2000, phis, 0.5)
-    val agg = udaf(new SubWindowAgg(phis, cfg.poolSize, 0))
+    val cfg = FewKConfig.sampleOnly(2000, phis, 0.5, minPhi = 0.0) // a pool for every phi
+    val agg = udaf(new SubWindowAgg(cfg, 0))
     val pools = ev
       .select(lit(0L).as("sub"), col("value"))
       .groupBy("sub").agg(agg(col("value")).as("s"))
@@ -82,7 +82,8 @@ class SubWindowAggSpec extends SparkSpec {
 
   test("UDAF is merge-safe across partitions (repartition invariance)") {
     val ev = events(8000)
-    val agg = udaf(new SubWindowAgg(phis, Array(5, 5, 5), 3))
+    val cfg = FewKConfig(phis, Array(5, 5, 5), Array(5, 5, 5), Array(0, 0, 0))
+    val agg = udaf(new SubWindowAgg(cfg, 3))
     def run(parts: Int) = ev.repartition(parts)
       .select((col("seq") / 2000).cast("long").as("sub"), col("value"))
       .groupBy("sub").agg(agg(col("value")).as("s"))
@@ -94,7 +95,8 @@ class SubWindowAggSpec extends SparkSpec {
 
   test("UDAF registered in the session function registry is SQL-callable") {
     val ev = events(1000)
-    spark.udf.register("qlove_subwindow", udaf(new SubWindowAgg(Array(0.5), Array(0), 0)))
+    spark.udf.register("qlove_subwindow",
+      udaf(new SubWindowAgg(FewKConfig.disabled(Array(0.5)), 0)))
     ev.createOrReplaceTempView("ev_sql")
     val out = spark.sql(
       "SELECT qlove_subwindow(value).quantiles[0] AS med FROM ev_sql").head().getDouble(0)
@@ -104,7 +106,7 @@ class SubWindowAggSpec extends SparkSpec {
 
   test("quantization inside the UDAF compresses the frequency buffer") {
     val ev = events(5000)
-    val agg = udaf(new SubWindowAgg(Array(0.5), Array(0), 3))
+    val agg = udaf(new SubWindowAgg(FewKConfig.disabled(Array(0.5)), 3))
     val q = ev.select(lit(0L).as("sub"), col("value"))
       .groupBy("sub").agg(agg(col("value")).as("s"))
       .select(col("s.quantiles")(0)).head().getDouble(0)
