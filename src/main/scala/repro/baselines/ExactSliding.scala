@@ -31,8 +31,8 @@ final class ExactSliding(
     tree.computeResult(phis)
   }
 
-  /** Exact rank interval of `v` within the current window (ground-truth
-    * helper for measuring competitors' rank errors).
+  /** Exact rank interval of `v` within the current window (the harness's
+    * ground truth, [[repro.harness.WindowOracle]], follows the same rules).
     */
   def rankInterval(v: Double): (Long, Long) = tree.rankInterval(v)
 

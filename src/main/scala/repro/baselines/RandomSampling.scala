@@ -28,10 +28,10 @@ final class RandomSampling(
   private val perSub = math.min(period, math.max(1L, totalBudget / nSub)).toInt
   private val rng = new java.util.Random(seed)
 
-  /** Sealed sample with its weight = sub-window size / sample size. */
-  private final case class Sample(values: Array[Double], weight: Double)
+  /** Each sealed sample's values stand for sub-window size / sample size values. */
+  private val weight = period.toDouble / perSub
 
-  private val sealed_ = new ArrayDeque[Sample](nSub + 1)
+  private val sealed_ = new ArrayDeque[Array[Double]](nSub + 1) // sorted samples, oldest first
   private var reservoir = new Array[Double](perSub)
   private var seenInSub = 0L
 
@@ -45,10 +45,8 @@ final class RandomSampling(
     }
     seenInSub += 1
     if (seenInSub == period) {
-      val size = math.min(perSub.toLong, seenInSub).toInt
-      val vals = java.util.Arrays.copyOf(reservoir, size)
-      java.util.Arrays.sort(vals)
-      sealed_.append(Sample(vals, seenInSub.toDouble / size))
+      java.util.Arrays.sort(reservoir)
+      sealed_.append(reservoir)
       if (sealed_.length > nSub) sealed_.removeHead()
       reservoir = new Array[Double](perSub)
       seenInSub = 0
@@ -57,31 +55,33 @@ final class RandomSampling(
 
   override def evaluate(): Array[Double] = {
     require(sealed_.length == nSub, s"window not full: ${sealed_.length}/$nSub samples")
-    // merge sorted samples with weights; answer weighted rank per φ
-    val merged = new Array[(Double, Double)](sealed_.iterator.map(_.values.length).sum)
-    var k = 0
-    sealed_.foreach { s =>
-      var i = 0
-      while (i < s.values.length) { merged(k) = (s.values(i), s.weight); k += 1; i += 1 }
-    }
-    val sorted = merged.sortBy(_._1)
+    // per φ, the first value of the samples' stable merge at which the
+    // cumulative weight reaches ⌈φN⌉, else the largest
+    val vals = sealed_.reduceLeft(merge)
     phis.map { phi =>
       val target = Stat.rankOf(phi, windowSize).toDouble
-      var cum = 0.0
+      var cum = weight
       var i = 0
-      var ans = sorted(sorted.length - 1)._1
-      var done = false
-      while (i < sorted.length && !done) {
-        cum += sorted(i)._2
-        if (cum >= target) { ans = sorted(i)._1; done = true }
-        i += 1
-      }
-      ans
+      while (cum < target && i < vals.length - 1) { cum += weight; i += 1 }
+      vals(i)
     }
   }
 
+  /** Stable merge of two arrays sorted under `java.lang.Double.compare`, the
+    * order `Arrays.sort` leaves: equal values come from `a`, the older, first.
+    */
+  private def merge(a: Array[Double], b: Array[Double]): Array[Double] = {
+    val out = new Array[Double](a.length + b.length)
+    var i = 0
+    var j = 0
+    while (i + j < out.length)
+      if (j == b.length || (i < a.length && java.lang.Double.compare(a(i), b(j)) <= 0)) { out(i + j) = a(i); i += 1 }
+      else { out(i + j) = b(j); j += 1 }
+    out
+  }
+
   override def observedSpace: Long =
-    sealed_.iterator.map(_.values.length.toLong).sum + math.min(seenInSub, perSub.toLong)
+    sealed_.iterator.map(_.length.toLong).sum + math.min(seenInSub, perSub.toLong)
 
   override def analyticalSpace: Long = totalBudget
 }

@@ -1,13 +1,13 @@
 package repro.harness
 
-import repro.baselines.ExactSliding
 import repro.core.{SlidingQuantilePolicy, Stat}
 import scala.collection.mutable.ArrayBuffer
 
 /** Streaming-engine substrate: drives policies element-by-element with the
   * paper's windowing semantics (window size N, period P, evaluate on every
   * period boundary once a full window exists) and measures the paper's three
-  * metrics against an exact ground truth maintained alongside:
+  * metrics against an exact ground truth, a [[WindowOracle]] over the raw
+  * (unquantized) values:
   *
   *   - average relative value error  (1/n)·Σ |a_i - b_i| / b_i  (in %),
   *   - average relative rank error   e' = (1/n)·Σ |r - r'_i| / N,
@@ -29,33 +29,48 @@ object SlidingEval {
   )
 
   /** Run `policies` over `data` under an (N, P) sliding window. All policies
-    * see the identical element sequence; the ground truth is an [[ExactSliding]]
-    * over the raw (unquantized) values.
+    * see the identical element sequence; with none, the ground truth is still
+    * evaluated at every boundary.
     */
   def run(data: Array[Double], windowSize: Long, period: Long,
-          phis: Array[Double], policies: Seq[SlidingQuantilePolicy]): Seq[PolicyResult] = {
-    require(windowSize % period == 0, "window must be a multiple of period")
+          phis: Array[Double], policies: Seq[SlidingQuantilePolicy]): Seq[PolicyResult] =
+    pass(data, windowSize, period, phis, policies.map(_ -> period))
+
+  /** A table's (N, P) sweep over one stream: each policy runs under its own
+    * period, and one ground-truth pass evaluates at the boundaries of the
+    * smallest. Each policy is evaluated, and its errors and space summed,
+    * only at its own boundaries, so its result equals a [[run]] of it alone.
+    */
+  def sweep(data: Array[Double], windowSize: Long, phis: Array[Double],
+            policies: Seq[(SlidingQuantilePolicy, Long)]): Seq[PolicyResult] = {
+    require(policies.nonEmpty, "a sweep needs at least one policy")
+    pass(data, windowSize, policies.map(_._2).min, phis, policies)
+  }
+
+  private def pass(data: Array[Double], windowSize: Long, step: Long, phis: Array[Double],
+                   policies: Seq[(SlidingQuantilePolicy, Long)]): Seq[PolicyResult] = {
+    require(step > 0 && windowSize % step == 0 &&
+      policies.forall(p => p._2 % step == 0 && windowSize % p._2 == 0),
+      s"window must be a multiple of every period, and each period of the smallest, $step")
     require(data.length >= windowSize, s"need at least $windowSize elements, got ${data.length}")
-    val truth = new ExactSliding(windowSize, phis)
-    val sumAbsRel = Array.ofDim[Double](policies.length, phis.length)
-    val sumRankErr = Array.ofDim[Double](policies.length, phis.length)
-    val sumSpace = new Array[Long](policies.length)
-    val estimates = policies.map(_ => new ArrayBuffer[Array[Double]]()).toArray
-    val exacts = new ArrayBuffer[Array[Double]]()
-    var evals = 0
-    var i = 0L
+    val (pols, periods) = (policies.map(_._1).toArray, policies.map(_._2).toArray)
+    val truth = new WindowOracle(data)
+    val sumAbsRel = Array.ofDim[Double](pols.length, phis.length)
+    val sumRankErr = Array.ofDim[Double](pols.length, phis.length)
+    val sumSpace = new Array[Long](pols.length)
+    val estimates, exacts = pols.map(_ => new ArrayBuffer[Array[Double]]())
+    var i = 0
     while (i < data.length) {
-      val v = data(i.toInt)
-      truth.insert(v)
-      policies.foreach(_.insert(v))
+      truth.insert(i)
+      if (i >= windowSize) truth.expire(i - windowSize.toInt)
+      pols.foreach(_.insert(data(i)))
       i += 1
-      if (i % period == 0 && i >= windowSize) {
-        val exact = truth.evaluate()
-        exacts += exact
-        var p = 0
-        while (p < policies.length) {
-          val est = policies(p).evaluate()
+      if (i % step == 0 && i >= windowSize) {
+        val exact = truth.quantiles(phis)
+        for (p <- pols.indices if i % periods(p) == 0) {
+          val est = pols(p).evaluate()
           estimates(p) += est
+          exacts(p) += exact
           var q = 0
           while (q < phis.length) {
             val b = exact(q)
@@ -66,24 +81,22 @@ object SlidingEval {
             sumRankErr(p)(q) += dist.toDouble / windowSize
             q += 1
           }
-          sumSpace(p) += policies(p).observedSpace
-          p += 1
+          sumSpace(p) += pols(p).observedSpace
         }
-        evals += 1
       }
     }
-    require(evals > 0, "no window evaluations — data shorter than one window?")
-    policies.zipWithIndex.map { case (pol, p) =>
+    pols.indices.map { p =>
+      val evals = estimates(p).length
       PolicyResult(
-        policy = pol.name,
+        policy = pols(p).name,
         phis = phis,
         valueErrorPct = phis.indices.map(q => 100.0 * sumAbsRel(p)(q) / evals).toArray,
         rankError = phis.indices.map(q => sumRankErr(p)(q) / evals).toArray,
         observedSpace = sumSpace(p) / evals,
-        analyticalSpace = pol.analyticalSpace,
+        analyticalSpace = pols(p).analyticalSpace,
         evaluations = evals,
         estimates = estimates(p).toArray,
-        exacts = exacts.toArray,
+        exacts = exacts(p).toArray,
       )
     }
   }

@@ -71,11 +71,9 @@ object Tables {
 
   def table2(nEvents: Long = defaultEvents, seed: Long = 7L): Map[Long, Array[Double]] = {
     val data = Telemetry.netmon(nEvents, seed).toArray
-    Table2Periods.map { p =>
-      val r = SlidingEval.run(data, WindowN, p, Phis,
-        Seq(new Qlove(WindowN, p, Phis, FewKConfig.disabled(Phis)))).head
-      p -> r.valueErrorPct
-    }.toMap
+    val rs = SlidingEval.sweep(data, WindowN, Phis,
+      Table2Periods.map(p => new Qlove(WindowN, p, Phis, FewKConfig.disabled(Phis)) -> p))
+    Table2Periods.zip(rs).map { case (p, r) => p -> r.valueErrorPct }.toMap
   }
 
   def renderTable2(res: Map[Long, Array[Double]]): String = {
@@ -99,11 +97,12 @@ object Tables {
   def table3(nEvents: Long = defaultEvents, seed: Long = 7L): Map[(Double, Long), FewKCell] = {
     val data = Telemetry.netmon(nEvents, seed).toArray
     val qi = Phis.indexOf(0.999)
-    (for (f <- Table3Fractions; p <- Table3Periods) yield {
-      val pol = new Qlove(WindowN, p, Phis, FewKConfig.topOnly(WindowN, p, Phis, f))
-      val r = SlidingEval.run(data, WindowN, p, Phis, Seq(pol)).head
-      (f, p) -> FewKCell(r.valueErrorPct(qi), pol.fewkObservedSpace(qi))
-    }).toMap
+    val cells = for (f <- Table3Fractions; p <- Table3Periods)
+      yield ((f, p), new Qlove(WindowN, p, Phis, FewKConfig.topOnly(WindowN, p, Phis, f)))
+    val rs = SlidingEval.sweep(data, WindowN, Phis, cells.map { case ((_, p), pol) => pol -> p })
+    cells.zip(rs).map { case ((cell, pol), r) =>
+      cell -> FewKCell(r.valueErrorPct(qi), pol.fewkObservedSpace(qi))
+    }.toMap
   }
 
   def renderTable34(res: Map[(Double, Long), FewKCell], fractions: Seq[Double],
@@ -132,14 +131,17 @@ object Tables {
     val base = Telemetry.netmon(nEvents, seed).toArray
     val qi99 = Phis.indexOf(0.99)
     val qi999 = Phis.indexOf(0.999)
-    (for (p <- Table4Periods; f <- Table4Fractions) yield {
+    // the burst stream depends on P: one sweep per period
+    Table4Periods.flatMap { p =>
       val data = Telemetry.injectBurst(base, WindowN, p, 0.999)
-      val pol = new Qlove(WindowN, p, Phis, FewKConfig.sampleOnly(WindowN, Phis, f))
-      val r = SlidingEval.run(data, WindowN, p, Phis, Seq(pol)).head
-      // the paper's parenthesized space is w.r.t. the exact Q0.999 cache
-      (f, p) -> Table4Cell(r.valueErrorPct(qi99), r.valueErrorPct(qi999),
-        pol.fewkObservedSpace(qi999))
-    }).toMap
+      val pols = Table4Fractions.map(f => new Qlove(WindowN, p, Phis, FewKConfig.sampleOnly(WindowN, Phis, f)))
+      val rs = SlidingEval.sweep(data, WindowN, Phis, pols.map(_ -> p))
+      Table4Fractions.lazyZip(pols).lazyZip(rs).map { (f, pol, r) =>
+        // the paper's parenthesized space is w.r.t. the exact Q0.999 cache
+        (f, p) -> Table4Cell(r.valueErrorPct(qi99), r.valueErrorPct(qi999),
+          pol.fewkObservedSpace(qi999))
+      }
+    }.toMap
   }
 
   def renderTable4(res: Map[(Double, Long), Table4Cell]): String = {
