@@ -1,6 +1,8 @@
 package repro.data
 
 import repro.core.Stat
+import scala.concurrent.ExecutionContext.Implicits.global
+import scala.concurrent.{Await, Future, duration}
 
 /** Synthetic telemetry streams standing in for the paper's datasets (§5.1,
   * §5.2, §5.4). All generators are deterministic in (n, seed): i.i.d.
@@ -59,6 +61,16 @@ object Telemetry {
 
   def netmon(n: Long, seed: Long = 7L): Iterator[Double] =
     Iterator.range(0L, n).map(netmonAt(seed, _))
+
+  /** `netmon(n, seed).toArray`, filled in chunks on the global pool. */
+  def netmonArray(n: Long, seed: Long = 7L): Array[Double] = {
+    val out = new Array[Double](n.toInt)
+    val fills = (0 until out.length by (1 << 16)).map { from =>
+      Future((from until math.min(out.length, from + (1 << 16))).foreach(i => out(i) = netmonAt(seed, i)))
+    }
+    Await.result(Future.sequence(fills), duration.Duration.Inf)
+    out
+  }
 
   def search(n: Long, seed: Long = 8L): Iterator[Double] =
     Iterator.range(0L, n).map(searchAt(seed, _))

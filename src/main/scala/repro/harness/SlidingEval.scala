@@ -2,12 +2,15 @@ package repro.harness
 
 import repro.core.{SlidingQuantilePolicy, Stat}
 import scala.collection.mutable.ArrayBuffer
+import scala.concurrent.ExecutionContext.Implicits.global
+import scala.concurrent.{Await, Future, duration}
 
 /** Streaming-engine substrate: drives policies element-by-element with the
   * paper's windowing semantics (window size N, period P, evaluate on every
   * period boundary once a full window exists) and measures the paper's three
   * metrics against an exact ground truth, a [[WindowOracle]] over the raw
-  * (unquantized) values:
+  * (unquantized) values. Each policy replays the stream on its own thread of
+  * the global pool while the oracle is built; one truth pass follows:
   *
   *   - average relative value error  (1/n)·Σ |a_i - b_i| / b_i  (in %),
   *   - average relative rank error   e' = (1/n)·Σ |r - r'_i| / N,
@@ -54,22 +57,27 @@ object SlidingEval {
       s"window must be a multiple of every period, and each period of the smallest, $step")
     require(data.length >= windowSize, s"need at least $windowSize elements, got ${data.length}")
     val (pols, periods) = (policies.map(_._1).toArray, policies.map(_._2).toArray)
-    val truth = new WindowOracle(data)
+    require(pols.indices.forall(p => pols.indexWhere(_ eq pols(p)) == p), "a policy instance may appear only once")
+    // The policies share no state, so each replays on its own pool thread while
+    // another builds the oracle; the zip fails as soon as any task fails.
+    val oracle = task(new WindowOracle(data))
+    val replays = Future.sequence(pols.indices.map(p => task(replay(data, windowSize, periods(p), pols(p)))))
+    val (truth, recorded) =
+      try Await.result(oracle.zip(replays), duration.Duration.Inf)
+      catch { case f: TaskFailed => throw f.getCause }
     val sumAbsRel = Array.ofDim[Double](pols.length, phis.length)
     val sumRankErr = Array.ofDim[Double](pols.length, phis.length)
     val sumSpace = new Array[Long](pols.length)
-    val estimates, exacts = pols.map(_ => new ArrayBuffer[Array[Double]]())
+    val exacts = pols.map(_ => new ArrayBuffer[Array[Double]]())
     var i = 0
     while (i < data.length) {
       truth.insert(i)
       if (i >= windowSize) truth.expire(i - windowSize.toInt)
-      pols.foreach(_.insert(data(i)))
       i += 1
       if (i % step == 0 && i >= windowSize) {
         val exact = truth.quantiles(phis)
         for (p <- pols.indices if i % periods(p) == 0) {
-          val est = pols(p).evaluate()
-          estimates(p) += est
+          val (est, space) = recorded(p)(exacts(p).length)
           exacts(p) += exact
           var q = 0
           while (q < phis.length) {
@@ -81,12 +89,12 @@ object SlidingEval {
             sumRankErr(p)(q) += dist.toDouble / windowSize
             q += 1
           }
-          sumSpace(p) += pols(p).observedSpace
+          sumSpace(p) += space
         }
       }
     }
     pols.indices.map { p =>
-      val evals = estimates(p).length
+      val evals = exacts(p).length
       PolicyResult(
         policy = pols(p).name,
         phis = phis,
@@ -95,9 +103,31 @@ object SlidingEval {
         observedSpace = sumSpace(p) / evals,
         analyticalSpace = pols(p).analyticalSpace,
         evaluations = evals,
-        estimates = estimates(p).toArray,
+        estimates = recorded(p).map(_._1),
         exacts = exacts(p).toArray,
       )
     }
+  }
+
+  /** Boxes whatever `body` throws, so that even a fatal error fails the future
+    * (which would otherwise never complete); the caller rethrows the cause.
+    */
+  private final class TaskFailed(cause: Throwable) extends Exception(cause)
+  private def task[A](body: => A): Future[A] =
+    Future(try body catch { case t: Throwable => throw new TaskFailed(t) })
+
+  /** Feeds every event to `pol`; at each of its period boundaries once a
+    * window is full, records its estimates and observed space.
+    */
+  private def replay(data: Array[Double], windowSize: Long, period: Long,
+                     pol: SlidingQuantilePolicy): Array[(Array[Double], Long)] = {
+    val out = new ArrayBuffer[(Array[Double], Long)]()
+    var i = 0
+    while (i < data.length) {
+      pol.insert(data(i))
+      i += 1
+      if (i % period == 0 && i >= windowSize) out += (pol.evaluate() -> pol.observedSpace)
+    }
+    out.toArray
   }
 }

@@ -35,7 +35,7 @@ object Tables {
     * (window 128K, period 16K, ε = 0.02, Moment K = 12).
     */
   def table1(nEvents: Long = defaultEvents, seed: Long = 7L): Seq[Table1Row] =
-    table1On(Telemetry.netmon(nEvents, seed).toArray)
+    table1On(Telemetry.netmonArray(nEvents, seed))
 
   /** Table 1 over a given event stream. */
   def table1On(data: Array[Double]): Seq[Table1Row] = {
@@ -70,7 +70,7 @@ object Tables {
   val Table2Periods: Seq[Long] = Seq(65536L, 32768L, 16384L, 8192L, 4096L, 2048L, 1024L)
 
   def table2(nEvents: Long = defaultEvents, seed: Long = 7L): Map[Long, Array[Double]] = {
-    val data = Telemetry.netmon(nEvents, seed).toArray
+    val data = Telemetry.netmonArray(nEvents, seed)
     val rs = SlidingEval.sweep(data, WindowN, Phis,
       Table2Periods.map(p => new Qlove(WindowN, p, Phis, FewKConfig.disabled(Phis)) -> p))
     Table2Periods.zip(rs).map { case (p, r) => p -> r.valueErrorPct }.toMap
@@ -95,7 +95,7 @@ object Tables {
     * per (fraction, period), 128K window.
     */
   def table3(nEvents: Long = defaultEvents, seed: Long = 7L): Map[(Double, Long), FewKCell] = {
-    val data = Telemetry.netmon(nEvents, seed).toArray
+    val data = Telemetry.netmonArray(nEvents, seed)
     val qi = Phis.indexOf(0.999)
     val cells = for (f <- Table3Fractions; p <- Table3Periods)
       yield ((f, p), new Qlove(WindowN, p, Phis, FewKConfig.topOnly(WindowN, p, Phis, f)))
@@ -128,7 +128,7 @@ object Tables {
     * every (N/P)-th sub-window), NetMon, 128K window.
     */
   def table4(nEvents: Long = defaultEvents, seed: Long = 7L): Map[(Double, Long), Table4Cell] = {
-    val base = Telemetry.netmon(nEvents, seed).toArray
+    val base = Telemetry.netmonArray(nEvents, seed)
     val qi99 = Phis.indexOf(0.99)
     val qi999 = Phis.indexOf(0.999)
     // the burst stream depends on P: one sweep per period

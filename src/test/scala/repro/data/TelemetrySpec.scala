@@ -21,6 +21,13 @@ class TelemetrySpec extends AnyFunSuite {
     (0 until 50).foreach(i => assert(it(i) == Telemetry.netmonAt(7, i)))
   }
 
+  test("netmonArray equals the iterator's array bit for bit") {
+    for (n <- Seq(0L, 1L, 7L, 2000003L); seed <- Seq(7L, 11L, 13L)) {
+      val bits = Telemetry.netmonArray(n, seed).map(java.lang.Double.doubleToRawLongBits)
+      assert(bits.sameElements(Telemetry.netmon(n, seed).map(java.lang.Double.doubleToRawLongBits)), (n, seed))
+    }
+  }
+
   test("netmon matches the paper's reported body quantiles") {
     val q50 = Stat.exactQuantile(netmon, 0.5)
     val q90 = Stat.exactQuantile(netmon, 0.9)

@@ -47,6 +47,15 @@ class SlidingEvalSweepSpec extends AnyFunSuite {
       Seq(new ExactSliding(1200, phis) -> 400L, new ExactSliding(1200, phis) -> 300L)))
   }
 
+  test("a sweep rejects one policy instance passed twice, before it sees an event") {
+    val data = Telemetry.netmon(2 * n, 13L).toArray
+    val pol = new Qlove(n, 1024, phis, FewKConfig.disabled(phis))
+    val e = intercept[IllegalArgumentException](SlidingEval.sweep(data, n, phis, Seq(pol -> 1024L, pol -> 2048L)))
+    assert(e.getMessage.contains("only once"))
+    intercept[IllegalArgumentException](SlidingEval.run(data, n, 1024, phis, Seq(pol, pol)))
+    assert(!pol.windowFull)
+  }
+
   test("a sweep needs a policy") {
     intercept[IllegalArgumentException](SlidingEval.sweep(new Array[Double](1000), 1000, phis, Nil))
   }
