@@ -34,8 +34,8 @@ object SubWindowSummary {
     * per-φ `quantiles` and its [[pools]]. The top-k cache is the pool's
     * prefix, the samples are its interval sample, and the burst flag tests
     * the pool against the predecessor's `prevPools(i)` (empty for the first
-    * sub-window). The driver, the streaming operator and the Spark batch
-    * pipeline all seal through here.
+    * sub-window). [[Level2.add]], which the driver, the streaming operator
+    * and the Spark batch pipeline all slide, seals through here.
     */
   def seal(count: Long, quantiles: Array[Double], pools: Array[Array[Double]],
            prevPools: Array[Array[Double]], cfg: FewKConfig): SubWindowSummary = {
@@ -60,7 +60,9 @@ object SubWindowSummary {
   }
 
   /** [[seal]] of a sealed Level-1 state; `prevPools` is the predecessor's
-    * [[pools]] (empty arrays for the first sub-window).
+    * [[pools]] (empty arrays for the first sub-window). The program seals
+    * through [[Level2.add]]; this one-sketch form is the entry point of the
+    * specs and of the benchmark's seal replay (`perfbench` `LayerReplay`).
     */
   def fromSketch(sketch: FreqSketch, cfg: FewKConfig,
                  prevPools: Array[Array[Double]]): SubWindowSummary =

@@ -1,9 +1,8 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.core.{FewKConfig, QloveEstimator, SubWindowSummary}
+import repro.core.{FewKConfig, Level2}
 
 /** One window evaluation: `eval` is the absolute index of the window's most
   * recent sub-window (the harness's k-th evaluation is `eval = n - 1 + k`).
@@ -16,13 +15,11 @@ final case class EvalEstimate(eval: Long, estimates: Seq[Double])
   *   aggregate produces each sub-window's count, exact quantiles and few-k
   *   pools with partial aggregation across partitions.
   *
-  *   Stage 2 (Level 2) — a lag window over sub-window order pairs each
-  *   sub-window's pools with its predecessor's, and [[SubWindowSummary.seal]]
-  *   builds its summary once, exactly as the driver does. Each summary is
-  *   fanned out to the n window evaluations it participates in, and a
-  *   per-evaluation group merge applies the shared [[QloveEstimator]] —
-  *   Level-2 mean / top-k / sample-k selection identical to the driver
-  *   operator.
+  *   Stage 2 (Level 2) — the N/P-times smaller stage-1 rows go to one
+  *   partition, sorted by sub-window, and one ordered pass slides the
+  *   driver's [[Level2]] over them: each row is sealed against its
+  *   predecessor's pools, slid in, and the window evaluated once full —
+  *   the same running-sum arithmetic and selection as the driver operator.
   */
 object QloveBatch {
 
@@ -39,33 +36,31 @@ object QloveBatch {
       .where(col("summary.count") === period)
   }
 
-  /** Stage 2: seal, fan out to evaluations, group merge. Returns one row per
-    * complete window evaluation, ordered by `eval`.
+  /** Stage 2: one [[Level2]] slid over the stage-1 rows in sub-window order.
+    * Returns one row per complete window evaluation, ordered by `eval`
+    * because it is one sorted partition. A sub-window missing from stage 1
+    * (a partial one) restarts the window, so no evaluation spans it; the
+    * next burst test compares with the last sub-window kept.
     */
   def estimates(spark: SparkSession, events: DataFrame, windowSize: Long,
                 period: Long, cfg: FewKConfig, quantizeDigits: Int = 3): Dataset[EvalEstimate] = {
     import spark.implicits._
     require(windowSize % period == 0, "window must be a multiple of period")
-    val nSub = (windowSize / period).toInt
-    val noPools = cfg.phis.map(_ => Array.emptyDoubleArray)
     subWindowSummaries(events, period, cfg, quantizeDigits)
-      .withColumn("prevPools",
-        lag(col("summary.pools"), 1).over(Window.orderBy(col("sub"))))
-      .select(col("sub"), col("summary.count"), col("summary.quantiles"),
-        col("summary.pools"), col("prevPools"))
-      .as[(Long, Long, Array[Double], Array[Array[Double]], Option[Array[Array[Double]]])]
-      .flatMap { case (sub, count, qs, pools, prev) =>
-        val s = SubWindowSummary.seal(count, qs, pools, prev.getOrElse(noPools), cfg)
-        (sub until sub + nSub).map(e => (e, sub, s))
+      .select(col("sub"), col("summary.count"), col("summary.quantiles"), col("summary.pools"))
+      .repartition(1)
+      .sortWithinPartitions("sub")
+      .as[(Long, Long, Array[Double], Array[Array[Double]])]
+      .mapPartitions { rows =>
+        val level2 = new Level2(windowSize, period, cfg)
+        var last = Long.MinValue
+        rows.flatMap { case (sub, count, qs, pools) =>
+          if (sub != last + 1) level2.restart()
+          last = sub
+          level2.add(count, qs, pools)
+          if (level2.full) Iterator.single(EvalEstimate(sub, level2.evaluate().toSeq))
+          else Iterator.empty
+        }
       }
-      .groupByKey(_._1)
-      .flatMapGroups { (eval, it) =>
-        // an evaluation past the last sub-window has fewer than n summaries
-        val subs = it.toArray.sortBy(_._2)
-        if (subs.length < nSub) Iterator.empty
-        else Iterator.single(EvalEstimate(eval,
-          QloveEstimator.estimate(subs.map(_._3).toIndexedSeq, cfg, windowSize).toSeq))
-      }
-      .orderBy("eval")
   }
 }

@@ -9,9 +9,9 @@ import scala.collection.mutable
 final case class TelemetryEvent(seq: Long, value: Double)
 
 /** Serializable per-group state of the streaming operator: the QLOVE
-  * operator itself (Level-1 kernel + Level-2 summary deque) plus a reorder
-  * buffer so events are applied in `seq` order regardless of intra-batch
-  * shuffle order. A `seq` that was already applied or is already pending
+  * operator itself (Level-1 kernel + [[repro.core.Level2]] window) plus a
+  * reorder buffer so events are applied in `seq` order regardless of
+  * intra-batch shuffle order. A `seq` that was already applied or is already pending
   * fails the micro-batch.
   */
 final class StreamQloveState(

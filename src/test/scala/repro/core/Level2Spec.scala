@@ -2,8 +2,10 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-class QloveEstimatorSpec extends AnyFunSuite {
+class Level2Spec extends AnyFunSuite {
   private val phis = Array(0.5, 0.99)
+
+  private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
 
   private def driverSummaries(data: Array[Double], n: Long, p: Long,
                               cfg: FewKConfig, digits: Int = 0): IndexedSeq[SubWindowSummary] = {
@@ -17,7 +19,22 @@ class QloveEstimatorSpec extends AnyFunSuite {
     }.toIndexedSeq
   }
 
-  test("fromPools rebuilds identical summaries from raw pools") {
+  /** The §4.3 selection over a full window, re-summing the Level-2 mean:
+    * the reference [[Level2.evaluate]] is compared against.
+    */
+  private def reference(window: IndexedSeq[SubWindowSummary], cfg: FewKConfig,
+                        windowSize: Long): Array[Double] =
+    Array.tabulate(cfg.phis.length) { i =>
+      val t = FewK.depthFromTop(windowSize, cfg.phis(i))
+      if (cfg.sampleEnabled(i) && window.exists(_.bursty(i)))
+        FewK.mergeSampleK(window.map(s => (s.samples(i),
+          FewK.sampleWeight(math.min(cfg.poolSize(i).toLong, s.count).toInt,
+            s.samples(i).length))), t)
+      else if (cfg.topEnabled(i)) FewK.mergeTopK(window.map(_.topK(i)), t)
+      else window.map(_.quantiles(i)).sum / window.length
+    }
+
+  test("the seal over explicit pools rebuilds fromSketch's summaries") {
     val rnd = new scala.util.Random(11)
     val n = 800L
     val p = 200L
@@ -50,40 +67,53 @@ class QloveEstimatorSpec extends AnyFunSuite {
     }
   }
 
-  test("estimate equals the Qlove operator's evaluate on the same stream") {
+  test("Level2 fed the seal inputs equals the Qlove operator bit for bit") {
     val rnd = new scala.util.Random(12)
     val n = 1000L
     val p = 250L
     for (cfg <- Seq(FewKConfig.disabled(phis),
                     FewKConfig.topOnly(n, p, phis, 0.5),
                     FewKConfig.sampleOnly(n, phis, 0.5))) {
-      val data = Array.fill(n.toInt)(rnd.nextDouble() * 5000)
+      val data = Array.fill(3 * n.toInt)(rnd.nextDouble() * 5000)
       val op = new Qlove(n, p, phis, cfg, 0)
-      data.foreach(op.insert)
-      val viaOp = op.evaluate()
-      val viaEst = QloveEstimator.estimate(driverSummaries(data, n, p, cfg), cfg, n)
-      phis.indices.foreach { i =>
-        assert(math.abs(viaOp(i) - viaEst(i)) <= 1e-9 * math.abs(viaEst(i)),
-          s"cfg=$cfg phi=${phis(i)}: ${viaOp(i)} vs ${viaEst(i)}")
+      val level2 = new Level2(n, p, cfg)
+      data.grouped(p.toInt).zipWithIndex.foreach { case (chunk, sub) =>
+        chunk.foreach(op.insert)
+        val sk = new FreqSketch
+        chunk.foreach(sk.accumulate)
+        level2.add(sk.count, sk.computeResult(phis), SubWindowSummary.pools(sk, cfg))
+        assert(level2.full == op.windowFull)
+        if (level2.full) {
+          val (viaOp, viaL2) = (op.evaluate(), level2.evaluate())
+          phis.indices.foreach { i =>
+            assert(bits(viaOp(i)) == bits(viaL2(i)),
+              s"cfg=$cfg sub=$sub phi=${phis(i)}: ${viaOp(i)} vs ${viaL2(i)}")
+          }
+        }
       }
     }
   }
 
-  test("estimate rejects empty input") {
-    intercept[IllegalArgumentException](
-      QloveEstimator.estimate(IndexedSeq.empty, FewKConfig.disabled(phis), 100))
+  test("evaluate before a full window is rejected") {
+    val cfg = FewKConfig.disabled(phis)
+    val level2 = new Level2(300, 100, cfg)
+    intercept[IllegalArgumentException](level2.evaluate())
+    level2.add(100, Array(1.0, 2.0), Array(Array.emptyDoubleArray, Array.emptyDoubleArray))
+    level2.add(100, Array(1.0, 2.0), Array(Array.emptyDoubleArray, Array.emptyDoubleArray))
+    assert(!level2.full)
+    intercept[IllegalArgumentException](level2.evaluate())
   }
 
   test("level-2 mean path matches hand computation") {
     val cfg = FewKConfig.disabled(phis)
-    val mk = (q: Double) => SubWindowSummary(10, Array(q, q * 2),
-      phis.map(_ => Array.emptyDoubleArray), phis.map(_ => Array.emptyDoubleArray),
-      phis.map(_ => false))
-    val est = QloveEstimator.estimate(IndexedSeq(mk(10), mk(20), mk(30)), cfg, 30)
+    val level2 = new Level2(30, 10, cfg)
+    Seq(10.0, 20.0, 30.0).foreach(q =>
+      level2.add(10, Array(q, q * 2), phis.map(_ => Array.emptyDoubleArray)))
+    val est = level2.evaluate()
     assert(est(0) == 20.0 && est(1) == 40.0)
   }
 
-  test("mixed top-k and sample-k on a bursty stream: driver == estimator bit for bit") {
+  test("mixed top-k and sample-k on a bursty stream: Level2 == reference bit for bit") {
     // the tail-burst budget: top-k and sample-k on for 0.999, sample-k on for 0.99
     val ph = Array(0.5, 0.9, 0.99, 0.999)
     val (n, p) = (16384L, 1024L)
@@ -104,10 +134,9 @@ class QloveEstimatorSpec extends AnyFunSuite {
         val window = summaries.slice(sub - nSub + 1, sub + 1)
         if (window.exists(_.bursty(3))) burstyWindows += 1
         val viaOp = op.evaluate()
-        val viaEst = QloveEstimator.estimate(window, cfg, n)
+        val viaRef = reference(window, cfg, n)
         Seq(2, 3).foreach { i =>
-          assert(java.lang.Double.doubleToRawLongBits(viaOp(i)) ==
-            java.lang.Double.doubleToRawLongBits(viaEst(i)), s"sub=$sub phi=${ph(i)}")
+          assert(bits(viaOp(i)) == bits(viaRef(i)), s"sub=$sub phi=${ph(i)}")
         }
       }
     }

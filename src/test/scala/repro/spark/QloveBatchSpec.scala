@@ -1,6 +1,8 @@
 package repro.spark
 
 import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.util.Pretty
 import repro.SparkSpec
 import repro.core.{FewKConfig, FreqSketch, Qlove, SubWindowSummary}
 import repro.data.Telemetry
@@ -29,19 +31,26 @@ class QloveBatchSpec extends SparkSpec {
       .toDF("seq", "value")
   }
 
+  private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
+
+  private def assertSame(got: EvalEstimate, want: Array[Double]): Unit =
+    phis.indices.foreach { i =>
+      assert(bits(got.estimates(i)) == bits(want(i)),
+        s"eval ${got.eval} phi=${phis(i)}: spark ${got.estimates(i)} vs driver ${want(i)}")
+    }
+
   private def check(data: Array[Double], n: Long, p: Long, cfg: FewKConfig,
                     digits: Int): Unit = {
     val want = driverEstimates(data, n, p, cfg, digits)
     val got = QloveBatch.estimates(spark, toDf(data), n, p, cfg, digits).collect()
     assert(got.length == want.size, s"${got.length} evals vs ${want.size}")
-    got.foreach { e =>
-      val w = want(e.eval)
-      phis.indices.foreach { i =>
-        val d = math.abs(e.estimates(i) - w(i))
-        assert(d <= 1e-9 * math.max(1.0, math.abs(w(i))),
-          s"eval ${e.eval} phi=${phis(i)}: spark ${e.estimates(i)} vs driver ${w(i)}")
-      }
-    }
+    got.foreach(e => assertSame(e, want(e.eval)))
+  }
+
+  /** The tail-burst budget: top-k and sample-k both on for 0.99. */
+  private def mixed(n: Long, p: Long): FewKConfig = {
+    val top = FewKConfig.topOnly(n, p, phis, 0.5)
+    FewKConfig(phis, top.poolSize, top.topK, FewKConfig.sampleOnly(n, phis, 0.5).sampleStep)
   }
 
   test("batch pipeline equals the driver operator: plain Level-2") {
@@ -61,10 +70,8 @@ class QloveBatchSpec extends SparkSpec {
   }
 
   test("batch pipeline equals the driver operator: top-k and sample-k on one phi") {
-    // the tail-burst budget: top-k and sample-k both on for 0.99
     val (n, p) = (2048L, 512L)
-    val top = FewKConfig.topOnly(n, p, phis, 0.5)
-    val cfg = FewKConfig(phis, top.poolSize, top.topK, FewKConfig.sampleOnly(n, phis, 0.5).sampleStep)
+    val cfg = mixed(n, p)
     assert(cfg.topEnabled(2) && cfg.sampleEnabled(2))
     val data = Telemetry.injectBurst(Telemetry.netmon(16000).toArray, n, p, 0.99)
     var prev = cfg.phis.map(_ => Array.emptyDoubleArray)
@@ -82,6 +89,50 @@ class QloveBatchSpec extends SparkSpec {
   test("batch pipeline equals the driver operator: no quantization") {
     val data = Telemetry.pareto(12000).toArray
     check(data, 2048, 1024, FewKConfig.disabled(phis), 0)
+  }
+
+  test("batch equals the driver as raw bits over random inputs (property)") {
+    val case_ = for {
+      n <- Gen.oneOf(1, 2, 3, 8)
+      p <- Gen.oneOf(64L, 128L)
+      fewk <- Gen.choose(0, 3)
+      digits <- Gen.oneOf(0, 3)
+      burst <- Gen.oneOf(false, true)
+      extraSubs <- Gen.choose(0, 6)
+      partial <- Gen.choose(0, 63)
+      seed <- Gen.choose(1L, 1000L)
+    } yield (n, p, fewk, digits, burst, extraSubs, partial, seed)
+    val prop = Prop.forAllNoShrink(case_) {
+      case (n, p, fewk, digits, burst, extraSubs, partial, seed) =>
+        val w = n * p
+        val cfg = fewk match {
+          case 0 => FewKConfig.disabled(phis)
+          case 1 => FewKConfig.topOnly(w, p, phis, 0.5)
+          case 2 => FewKConfig.sampleOnly(w, phis, 0.5)
+          case _ => mixed(w, p)
+        }
+        // fractional values, so that a re-summed and a running Level-2 mean can differ
+        val rnd = new scala.util.Random(seed)
+        val base = Telemetry.netmon(w + extraSubs * p + partial, seed).map(_ + rnd.nextDouble()).toArray
+        val data = if (burst) Telemetry.injectBurst(base, w, p, 0.99) else base
+        check(data, w, p, cfg, digits)
+        true
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(48), prop)
+    assert(res.passed, Pretty.pretty(res))
+  }
+
+  test("a missing sub-window restarts the window: no evaluation spans it") {
+    val (n, p, gap) = (2048L, 512L, 5L)
+    val cfg = FewKConfig.disabled(phis)
+    val data = Telemetry.netmon(12 * p).toArray
+    val want = driverEstimates(data, n, p, cfg, 3)
+    val events = toDf(data).where(col("seq") < gap * p || col("seq") >= (gap + 1) * p)
+    val got = QloveBatch.estimates(spark, events, n, p, cfg, 3).collect()
+    val spanning = (gap until gap + n / p).toSet
+    assert(spanning.subsetOf(want.keySet))
+    assert(got.map(_.eval).toSeq == (want.keySet -- spanning).toSeq.sorted)
+    got.foreach(e => assertSame(e, want(e.eval)))
   }
 
   test("incomplete trailing sub-windows are dropped") {
